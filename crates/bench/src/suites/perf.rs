@@ -78,7 +78,7 @@ fn sweep(seed: u64, rounds: usize) -> Vec<Run> {
             pop.domains.len(),
             pop.hosts.len()
         );
-        let mut reference: Option<(usize, u64, usize)> = None;
+        let mut reference: Option<(usize, u64, usize, [u8; 32])> = None;
         for shards in SHARD_AXIS {
             // Best-of-`rounds`: keep the fastest round's wall clock and
             // its phase breakdown.
@@ -100,6 +100,7 @@ fn sweep(seed: u64, rounds: usize) -> Vec<Run> {
                 result.sessions.len(),
                 result.events,
                 result.log.records.len(),
+                result.content_hash(),
             );
             match reference {
                 None => reference = Some(signature),
@@ -146,18 +147,20 @@ pub fn run(out_path: Option<String>) {
 /// any run's sessions/s fell more than 10% below the committed
 /// baseline's matching `(scale, shards)` row. Baseline rows that can't be matched
 /// are reported and ignored (a new axis point is not a regression).
+/// Verdicts go to stdout, not the `[mailval]` progress channel, so
+/// `MAILVAL_QUIET` never hides why the gate failed.
 pub fn check(baseline_path: Option<String>) -> bool {
     let baseline_path = baseline_path.unwrap_or_else(|| "results/BENCH_perf.json".to_string());
     let baseline = match std::fs::read_to_string(&baseline_path) {
         Ok(s) => s,
         Err(e) => {
-            progress!("bench-perf: cannot read baseline {baseline_path}: {e}");
+            println!("bench-perf: cannot read baseline {baseline_path}: {e}");
             return false;
         }
     };
     let baseline_runs = parse_runs(&baseline);
     if baseline_runs.is_empty() {
-        progress!("bench-perf: no runs parsed from baseline {baseline_path}");
+        println!("bench-perf: no runs parsed from baseline {baseline_path}");
         return false;
     }
     let runs = sweep(crate::seed(), CHECK_ROUNDS);
@@ -165,7 +168,7 @@ pub fn check(baseline_path: Option<String>) -> bool {
     for run in &runs {
         let share = run.phases.setup_share();
         if share > MAX_SETUP_SHARE {
-            progress!(
+            println!(
                 "bench-perf: FAIL {} shards={}: setup-share {:.1}% > {:.0}%",
                 run.scale_label,
                 run.shards,
@@ -178,16 +181,15 @@ pub fn check(baseline_path: Option<String>) -> bool {
             .iter()
             .find(|b| b.scale_label == run.scale_label && b.shards == run.shards)
         else {
-            progress!(
+            println!(
                 "bench-perf: note: no baseline row for {} shards={}",
-                run.scale_label,
-                run.shards
+                run.scale_label, run.shards
             );
             continue;
         };
         let floor = base.sessions_per_s * (1.0 - MAX_REGRESSION);
         if run.sessions_per_s < floor {
-            progress!(
+            println!(
                 "bench-perf: FAIL {} shards={}: {:.0} sessions/s < {:.0} \
                  (baseline {:.0} - {:.0}%)",
                 run.scale_label,
@@ -201,7 +203,7 @@ pub fn check(baseline_path: Option<String>) -> bool {
         }
     }
     if ok {
-        progress!(
+        println!(
             "bench-perf: check passed ({} runs vs baseline {baseline_path})",
             runs.len()
         );

@@ -1,7 +1,7 @@
 //! Arbitrary-precision unsigned (and minimally signed) integer arithmetic.
 //!
 //! Just enough number theory for RSA: schoolbook multiplication, Knuth
-//! Algorithm D division, square-and-multiply modular exponentiation,
+//! Algorithm D division, fixed-width Montgomery modular exponentiation,
 //! Miller–Rabin primality testing and modular inverses via the extended
 //! Euclidean algorithm.
 //!
@@ -418,12 +418,13 @@ impl BigUint {
 
     /// `self^exp mod m`.
     ///
-    /// Odd multi-limb moduli — the RSA sign/verify and Miller–Rabin
-    /// case — go through a Montgomery-form 4-bit-window ladder
-    /// ([`Montgomery`]), which replaces every schoolbook
-    /// multiply-then-divide step with one CIOS pass. Even or
-    /// single-limb moduli keep the plain square-and-multiply path.
-    /// Both paths return identical values for identical inputs.
+    /// Odd moduli of up to 4,096 bits — the RSA sign/verify and
+    /// Miller–Rabin case — go through the fixed-width Montgomery
+    /// sliding-window ladder ([`Montgomery`]), which replaces every
+    /// schoolbook multiply-then-divide step with one product and one
+    /// reduction pass on stack arrays. Even and wider moduli keep the
+    /// plain square-and-multiply path. Both paths return identical
+    /// values for identical inputs.
     ///
     /// # Panics
     /// Panics if `m` is zero.
@@ -432,8 +433,8 @@ impl BigUint {
         if m.limbs == [1] {
             return BigUint::zero();
         }
-        if m.is_odd() && m.limbs.len() > 1 {
-            return Montgomery::new(m).modpow(self, exp);
+        if let Some(mont) = Montgomery::new(m) {
+            return mont.modpow(self, exp);
         }
         let mut result = BigUint::one();
         let mut base = self.rem(m);
@@ -570,10 +571,15 @@ impl BigUint {
         }
         let two = BigUint::from_u64(2);
         let n_minus_3 = self.sub(&BigUint::from_u64(3));
+        // One Montgomery context serves every witness.
+        let mont = Montgomery::new(self);
         'witness: for _ in 0..rounds {
             // a in [2, n-2]
             let a = BigUint::random_below(&n_minus_3, rng).add(&two);
-            let mut x = a.modpow(&d, self);
+            let mut x = match &mont {
+                Some(mont) => mont.modpow(&a, &d),
+                None => a.modpow(&d, self),
+            };
             if x == BigUint::one() || x == n_minus_1 {
                 continue;
             }
@@ -619,30 +625,59 @@ impl Ord for BigUint {
     }
 }
 
-/// Montgomery-reduction context for one odd multi-limb modulus.
+/// Limb counts the Montgomery engine is instantiated at. A modulus is
+/// padded with zero limbs up to the next one: Montgomery reduction needs
+/// only `m` odd and `m < R`, so a zero top limb is harmless. 64 limbs
+/// (4,096 bits) covers every DKIM key size RFC 8301 allows.
+const MONT_WIDTHS: [usize; 6] = [2, 4, 8, 16, 32, 64];
+
+/// Largest sliding-window width; the table holds `2^(w−1)` odd powers.
+const MAX_WINDOW: usize = 6;
+
+/// Sliding-window width for an exponent of `bits` bits — OpenSSL's
+/// `BN_window_bits_for_exponent_size` rule. e = 65537 gets width 1
+/// (16 squarings and one multiply); a 512-bit CRT exponent gets 5.
+fn window_bits(bits: usize) -> usize {
+    match bits {
+        672.. => 6,
+        240.. => 5,
+        80.. => 4,
+        24.. => 3,
+        _ => 1,
+    }
+}
+
+/// Montgomery-reduction context for one odd modulus of at most 64 limbs.
 ///
-/// Residues are held as exactly-`k`-limb little-endian vectors scaled
-/// by `R = 2^(64k)`; one CIOS interleaved multiply-and-reduce
-/// ([`Montgomery::mont_mul`]) replaces the schoolbook multiply plus
-/// Knuth division of [`BigUint::mulmod`]. This is the engine behind
-/// [`BigUint::modpow`] for RSA signing/verification and Miller–Rabin
-/// witnesses; every value it produces is identical to the schoolbook
-/// path's — Montgomery form only changes the representation between
-/// the entry and exit conversions.
-struct Montgomery {
-    /// Modulus limbs, little-endian, length `k ≥ 2`, top limb nonzero.
-    m: Vec<u64>,
-    /// `-m^{-1} mod 2^64`.
+/// Holds `m`, `−m⁻¹ mod 2⁶⁴` and `R² mod m` with `R = 2^(64·width)`,
+/// where `width` is `m`'s limb count rounded up to [`MONT_WIDTHS`].
+/// Building one costs a Knuth division, so long-lived moduli (RSA
+/// primes) keep theirs. [`Montgomery::modpow`] dispatches to the
+/// fixed-width engine ([`Fixed`]), whose residues are `[u64; N]` stack
+/// arrays, so the exponentiation ladder never touches the heap. Every
+/// value it produces is identical to the schoolbook path's — Montgomery
+/// form only changes the representation between entry and exit.
+#[derive(Debug, Clone)]
+pub(crate) struct Montgomery {
+    /// The modulus (odd, ≥ 3).
+    m: BigUint,
+    /// Padded limb count, one of [`MONT_WIDTHS`].
+    width: usize,
+    /// `−m⁻¹ mod 2⁶⁴`.
     n0inv: u64,
-    /// `R² mod m`: multiplying by it (in Montgomery form) converts a
-    /// plain residue into Montgomery form.
-    rr: Vec<u64>,
+    /// `R² mod m`: a Montgomery product with it converts a plain
+    /// residue into Montgomery form.
+    rr: BigUint,
 }
 
 impl Montgomery {
-    fn new(m: &BigUint) -> Montgomery {
-        debug_assert!(m.is_odd() && m.limbs.len() > 1);
-        let k = m.limbs.len();
+    /// The context for `m`, or `None` when `m` is even, below 3 or wider
+    /// than 4,096 bits (those take the plain `mulmod` path).
+    pub(crate) fn new(m: &BigUint) -> Option<Montgomery> {
+        if !m.is_odd() || m.limbs == [1] {
+            return None;
+        }
+        let width = *MONT_WIDTHS.iter().find(|&&w| w >= m.limbs.len())?;
         // Newton–Hensel iteration: each step doubles the number of
         // correct low bits of m₀⁻¹ mod 2^64 (seeding with m₀ gives 3).
         let m0 = m.limbs[0];
@@ -651,119 +686,201 @@ impl Montgomery {
             inv = inv.wrapping_mul(2u64.wrapping_sub(m0.wrapping_mul(inv)));
         }
         debug_assert_eq!(m0.wrapping_mul(inv), 1);
-        let mut rr = BigUint::one().shl(128 * k).rem(m).limbs;
-        rr.resize(k, 0);
-        Montgomery {
-            m: m.limbs.clone(),
+        Some(Montgomery {
+            m: m.clone(),
+            width,
             n0inv: inv.wrapping_neg(),
-            rr,
+            rr: BigUint::one().shl(128 * width).rem(m),
+        })
+    }
+
+    /// The modulus `m`.
+    pub(crate) fn modulus(&self) -> &BigUint {
+        &self.m
+    }
+
+    /// `base^exp mod m`.
+    pub(crate) fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+        match self.width {
+            2 => self.modpow_fixed::<2>(base, exp),
+            4 => self.modpow_fixed::<4>(base, exp),
+            8 => self.modpow_fixed::<8>(base, exp),
+            16 => self.modpow_fixed::<16>(base, exp),
+            32 => self.modpow_fixed::<32>(base, exp),
+            64 => self.modpow_fixed::<64>(base, exp),
+            w => unreachable!("Montgomery::new pads to a supported width, not {w}"),
         }
     }
 
-    /// CIOS Montgomery product: `a·b·R⁻¹ mod m`, operands and result
-    /// exactly `k` limbs.
-    fn mont_mul(&self, a: &[u64], b: &[u64]) -> Vec<u64> {
-        let k = self.m.len();
-        let mut t = vec![0u64; k + 2];
-        for &ai in a {
-            let mut carry = 0u64;
-            for j in 0..k {
-                let acc = t[j] as u128 + ai as u128 * b[j] as u128 + carry as u128;
-                t[j] = acc as u64;
-                carry = (acc >> 64) as u64;
-            }
-            let acc = t[k] as u128 + carry as u128;
-            t[k] = acc as u64;
-            t[k + 1] = (acc >> 64) as u64;
-
-            // One reduction step: add u·m so the low limb cancels, then
-            // shift the whole accumulator down one limb.
-            let u = t[0].wrapping_mul(self.n0inv);
-            let acc = t[0] as u128 + u as u128 * self.m[0] as u128;
-            let mut carry = (acc >> 64) as u64;
-            for j in 1..k {
-                let acc = t[j] as u128 + u as u128 * self.m[j] as u128 + carry as u128;
-                t[j - 1] = acc as u64;
-                carry = (acc >> 64) as u64;
-            }
-            let acc = t[k] as u128 + carry as u128;
-            t[k - 1] = acc as u64;
-            t[k] = t[k + 1] + ((acc >> 64) as u64);
-            t[k + 1] = 0;
-        }
-        // CIOS keeps t < 2m, so one conditional subtract normalizes.
-        let over = t[k] != 0
-            || self
-                .m
-                .iter()
-                .zip(&t[..k])
-                .rev()
-                .find(|(mi, ti)| mi != ti)
-                .is_none_or(|(mi, ti)| ti > mi);
-        t.truncate(k);
-        if over {
-            let mut borrow = 0u64;
-            for (ti, &mi) in t.iter_mut().zip(&self.m) {
-                let (d1, b1) = ti.overflowing_sub(mi);
-                let (d2, b2) = d1.overflowing_sub(borrow);
-                *ti = d2;
-                borrow = u64::from(b1 | b2);
-            }
-        }
-        t
-    }
-
-    /// `base^exp mod m` by a 4-bit-window ladder over Montgomery
-    /// squarings (left-to-right: 4 squarings + at most one table
-    /// multiply per exponent nibble).
-    fn modpow(&self, base: &BigUint, exp: &BigUint) -> BigUint {
+    fn modpow_fixed<const N: usize>(&self, base: &BigUint, exp: &BigUint) -> BigUint {
         if exp.is_zero() {
             return BigUint::one();
         }
-        let k = self.m.len();
-        let modulus = BigUint {
-            limbs: self.m.clone(),
+        let f = Fixed::<N> {
+            m: to_limbs(&self.m),
+            n0inv: self.n0inv,
         };
-        let mut plain_one = vec![0u64; k];
-        plain_one[0] = 1;
-        let one_mont = self.mont_mul(&plain_one, &self.rr);
-
-        let mut b = base.rem(&modulus).limbs;
-        b.resize(k, 0);
-        let b_mont = self.mont_mul(&b, &self.rr);
-
-        // table[i] = base^i in Montgomery form, i ∈ 0..16.
-        let mut table = Vec::with_capacity(16);
-        table.push(one_mont.clone());
-        table.push(b_mont);
-        for i in 2..16 {
-            let next = self.mont_mul(&table[i - 1], &table[1]);
-            table.push(next);
-        }
-
-        let windows = exp.bit_len().div_ceil(4);
-        let mut acc = one_mont;
-        for w in (0..windows).rev() {
-            if w + 1 < windows {
-                for _ in 0..4 {
-                    acc = self.mont_mul(&acc, &acc);
-                }
-            }
-            let mut idx = 0usize;
-            for bit in 0..4 {
-                if exp.bit(w * 4 + bit) {
-                    idx |= 1 << bit;
-                }
-            }
-            if idx != 0 {
-                acc = self.mont_mul(&acc, &table[idx]);
-            }
-        }
+        let b = f.mul(&to_limbs(&base.rem(&self.m)), &to_limbs(&self.rr));
+        let acc = f.pow(&b, exp);
         let mut out = BigUint {
-            limbs: self.mont_mul(&acc, &plain_one),
+            limbs: f.redc([acc, [0; N]]).to_vec(),
         };
         out.normalize();
         out
+    }
+}
+
+/// `x`'s limbs zero-padded to `N`; `x` must fit.
+fn to_limbs<const N: usize>(x: &BigUint) -> [u64; N] {
+    let mut out = [0u64; N];
+    out[..x.limbs.len()].copy_from_slice(&x.limbs);
+    out
+}
+
+/// The fixed-width engine: a modulus padded to `N` limbs. Every residue,
+/// product and reduction lives in a stack array.
+struct Fixed<const N: usize> {
+    m: [u64; N],
+    n0inv: u64,
+}
+
+impl<const N: usize> Fixed<N> {
+    /// Montgomery product `a·b·R⁻¹ mod m`: the full `2N`-limb product,
+    /// then one reduction pass.
+    fn mul(&self, a: &[u64; N], b: &[u64; N]) -> [u64; N] {
+        let mut wide = [[0u64; N]; 2];
+        let t = wide.as_flattened_mut();
+        for (i, &ai) in a.iter().enumerate() {
+            let mut carry = 0u64;
+            for (j, &bj) in b.iter().enumerate() {
+                let acc = t[i + j] as u128 + ai as u128 * bj as u128 + carry as u128;
+                t[i + j] = acc as u64;
+                carry = (acc >> 64) as u64;
+            }
+            t[i + N] = carry;
+        }
+        self.redc(wide)
+    }
+
+    /// Montgomery square `a²·R⁻¹ mod m`: each cross product once, then
+    /// doubled and the diagonal added — about ¾ of [`Fixed::mul`]'s limb
+    /// products.
+    fn sqr(&self, a: &[u64; N]) -> [u64; N] {
+        let mut wide = [[0u64; N]; 2];
+        let t = wide.as_flattened_mut();
+        for i in 0..N {
+            let mut carry = 0u64;
+            for j in i + 1..N {
+                let acc = t[i + j] as u128 + a[i] as u128 * a[j] as u128 + carry as u128;
+                t[i + j] = acc as u64;
+                carry = (acc >> 64) as u64;
+            }
+            t[i + N] = carry;
+        }
+        // The cross sum is below a²/2, so doubling cannot overflow 2N limbs.
+        let mut top = 0u64;
+        for limb in t.iter_mut() {
+            let next = *limb >> 63;
+            *limb = (*limb << 1) | top;
+            top = next;
+        }
+        let mut carry = 0u64;
+        for (i, &ai) in a.iter().enumerate() {
+            let sq = ai as u128 * ai as u128;
+            let lo = t[2 * i] as u128 + (sq as u64) as u128 + carry as u128;
+            t[2 * i] = lo as u64;
+            let hi = t[2 * i + 1] as u128 + (sq >> 64) + (lo >> 64);
+            t[2 * i + 1] = hi as u64;
+            carry = (hi >> 64) as u64;
+        }
+        self.redc(wide)
+    }
+
+    /// Montgomery reduction `T·R⁻¹ mod m` of a `2N`-limb `T < m·R`: N
+    /// passes that each cancel the lowest limb by adding `u·m`.
+    fn redc(&self, mut wide: [[u64; N]; 2]) -> [u64; N] {
+        let t = wide.as_flattened_mut();
+        // Carry into limb i + N + 1, added by the next pass.
+        let mut spill = 0u64;
+        for i in 0..N {
+            let u = t[i].wrapping_mul(self.n0inv);
+            let mut carry = 0u64;
+            for (j, &mj) in self.m.iter().enumerate() {
+                let acc = t[i + j] as u128 + u as u128 * mj as u128 + carry as u128;
+                t[i + j] = acc as u64;
+                carry = (acc >> 64) as u64;
+            }
+            let acc = t[i + N] as u128 + carry as u128 + spill as u128;
+            t[i + N] = acc as u64;
+            spill = (acc >> 64) as u64;
+        }
+        // T < m·R keeps the result below 2m: one conditional subtract.
+        let [_, mut r] = wide;
+        let over = spill != 0
+            || self
+                .m
+                .iter()
+                .zip(&r)
+                .rev()
+                .find(|(mi, ri)| mi != ri)
+                .is_none_or(|(mi, ri)| ri > mi);
+        if over {
+            let mut borrow = 0u64;
+            for (ri, &mi) in r.iter_mut().zip(&self.m) {
+                let (d1, b1) = ri.overflowing_sub(mi);
+                let (d2, b2) = d1.overflowing_sub(borrow);
+                *ri = d2;
+                borrow = u64::from(b1 | b2);
+            }
+        }
+        r
+    }
+
+    /// `base^exp` in Montgomery form for a nonzero `exp`, left to right
+    /// over a sliding window of odd powers: a run of zero bits costs
+    /// one squaring per bit, and each window of up to
+    /// [`window_bits`] bits ending in a one costs its squarings plus
+    /// one table multiply.
+    fn pow(&self, base: &[u64; N], exp: &BigUint) -> [u64; N] {
+        let bits = exp.bit_len();
+        let w = window_bits(bits);
+        // table[i] = base^(2i+1).
+        let mut table = [[0u64; N]; 1 << (MAX_WINDOW - 1)];
+        table[0] = *base;
+        if w > 1 {
+            let sq = self.sqr(base);
+            for i in 1..1 << (w - 1) {
+                table[i] = self.mul(&table[i - 1], &sq);
+            }
+        }
+        // The window of at most w bits whose top bit is `top - 1`, cut
+        // to end in a one: its low bit index and its odd value.
+        let window = |top: usize| {
+            let mut low = top.saturating_sub(w);
+            while !exp.bit(low) {
+                low += 1;
+            }
+            let value = (low..top)
+                .rev()
+                .fold(0, |v, b| (v << 1) | exp.bit(b) as usize);
+            (low, value)
+        };
+        let (mut top, first) = window(bits);
+        let mut acc = table[first >> 1];
+        while top > 0 {
+            if !exp.bit(top - 1) {
+                acc = self.sqr(&acc);
+                top -= 1;
+                continue;
+            }
+            let (low, value) = window(top);
+            for _ in low..top {
+                acc = self.sqr(&acc);
+            }
+            acc = self.mul(&acc, &table[value >> 1]);
+            top = low;
+        }
+        acc
     }
 }
 
@@ -976,38 +1093,131 @@ mod tests {
         assert_eq!(big(5).modpow(&big(3), &BigUint::one()), BigUint::zero());
     }
 
+    /// Plain `mulmod` square-and-multiply: the reference the
+    /// Montgomery ladder is checked against.
+    fn schoolbook(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
+        let mut result = BigUint::one();
+        let mut b = base.rem(m);
+        let bits = exp.bit_len();
+        for i in 0..bits {
+            if exp.bit(i) {
+                result = result.mulmod(&b, m);
+            }
+            if i + 1 < bits {
+                b = b.mulmod(&b, m);
+            }
+        }
+        result
+    }
+
+    /// A random odd modulus of exactly `limbs` limbs.
+    fn odd_modulus(limbs: usize, rng: &mut SplitMix64) -> BigUint {
+        BigUint::random_bits(limbs * 64 - 1, rng)
+            .shl(1)
+            .add(&BigUint::one())
+    }
+
     #[test]
     fn montgomery_modpow_matches_schoolbook() {
-        // Odd multi-limb moduli dispatch to the Montgomery window
-        // ladder; check it against a plain mulmod square-and-multiply
-        // chain on random inputs, including base ≥ m and base ≡ 0.
-        fn schoolbook(base: &BigUint, exp: &BigUint, m: &BigUint) -> BigUint {
-            let mut result = BigUint::one();
-            let mut b = base.rem(m);
-            let bits = exp.bit_len();
-            for i in 0..bits {
-                if exp.bit(i) {
-                    result = result.mulmod(&b, m);
-                }
-                if i + 1 < bits {
-                    b = b.mulmod(&b, m);
-                }
-            }
-            result
-        }
+        // Every supported width, and moduli padded up to one (1, 3, 5
+        // and 9 limbs), against a plain mulmod chain: random bases
+        // including base ≥ m and base ≡ 0, e = 65537, and exponents on
+        // both sides of each window-width boundary.
         let mut rng = SplitMix64::new(0x5eed_40d5);
-        for _ in 0..16 {
-            let m = BigUint::random_bits(192, &mut rng)
-                .shl(1)
-                .add(&BigUint::one());
-            let base = BigUint::random_bits(256, &mut rng);
-            let exp = BigUint::random_bits(96, &mut rng);
-            assert_eq!(base.modpow(&exp, &m), schoolbook(&base, &exp, &m));
+        for limbs in [1, 2, 3, 4, 5, 8, 9, 16, 32, 64] {
+            let m = odd_modulus(limbs, &mut rng);
+            let base = BigUint::random_bits(limbs * 64 + 64, &mut rng);
+            let mut exps = vec![BigUint::from_u64(1), BigUint::from_u64(65537)];
+            for bits in [23, 24, 79, 80, 239, 240, 671, 672] {
+                exps.push(BigUint::random_bits(bits, &mut rng));
+            }
+            for exp in &exps {
+                assert_eq!(
+                    base.modpow(exp, &m),
+                    schoolbook(&base, exp, &m),
+                    "limbs={limbs} exp bits={}",
+                    exp.bit_len()
+                );
+            }
             // Degenerate bases and exponents.
-            assert_eq!(BigUint::zero().modpow(&exp, &m), BigUint::zero());
-            assert_eq!(m.modpow(&exp, &m), BigUint::zero());
+            let exp = &exps[3];
+            assert_eq!(BigUint::zero().modpow(exp, &m), BigUint::zero());
+            assert_eq!(m.modpow(exp, &m), BigUint::zero());
             assert_eq!(base.modpow(&BigUint::zero(), &m), BigUint::one());
         }
+    }
+
+    #[test]
+    fn montgomery_covers_odd_moduli_up_to_4096_bits() {
+        let mut rng = SplitMix64::new(0x3d7b);
+        let width = |m: &BigUint| Montgomery::new(m).map(|c| c.width);
+        assert_eq!(width(&BigUint::one()), None);
+        assert_eq!(width(&BigUint::from_u64(3)), Some(2));
+        assert_eq!(width(&odd_modulus(5, &mut rng)), Some(8));
+        assert_eq!(width(&odd_modulus(64, &mut rng)), Some(64));
+        let even = odd_modulus(4, &mut rng).add(&BigUint::one());
+        assert_eq!(width(&even), None);
+        // Wider moduli keep the plain path.
+        let wide = odd_modulus(65, &mut rng);
+        assert_eq!(width(&wide), None);
+        let base = BigUint::random_bits(4000, &mut rng);
+        let exp = BigUint::from_u64(65537);
+        assert_eq!(base.modpow(&exp, &wide), schoolbook(&base, &exp, &wide));
+    }
+
+    #[test]
+    fn montgomery_square_matches_product() {
+        fn check<const N: usize>(rng: &mut SplitMix64) {
+            // m = R − 1 (every limb all ones) and a random modulus;
+            // operands 0, 1, m − 1 and random residues stress every
+            // carry path of the squaring.
+            for m in [
+                BigUint::one().shl(64 * N).sub(&BigUint::one()),
+                odd_modulus(N, rng),
+            ] {
+                let mont = Montgomery::new(&m).expect("odd modulus in range");
+                let f = Fixed::<N> {
+                    m: to_limbs(&m),
+                    n0inv: mont.n0inv,
+                };
+                let mut operands = vec![BigUint::zero(), BigUint::one(), m.sub(&BigUint::one())];
+                for _ in 0..8 {
+                    operands.push(BigUint::random_below(&m, rng));
+                }
+                for a in &operands {
+                    let a = to_limbs::<N>(a);
+                    assert_eq!(f.sqr(&a), f.mul(&a, &a), "N={N}");
+                }
+            }
+        }
+        let mut rng = SplitMix64::new(0x5a5a);
+        check::<2>(&mut rng);
+        check::<4>(&mut rng);
+        check::<8>(&mut rng);
+        check::<16>(&mut rng);
+        check::<32>(&mut rng);
+        check::<64>(&mut rng);
+    }
+
+    #[test]
+    fn window_width_follows_exponent_size() {
+        let cases = [
+            (17, 1),
+            (23, 1),
+            (24, 3),
+            (79, 3),
+            (80, 4),
+            (239, 4),
+            (240, 5),
+            (512, 5),
+            (671, 5),
+            (672, 6),
+            (4096, 6),
+        ];
+        for (bits, w) in cases {
+            assert_eq!(window_bits(bits), w, "bits={bits}");
+        }
+        assert!(window_bits(usize::MAX) <= MAX_WINDOW);
     }
 
     #[test]

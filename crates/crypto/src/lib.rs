@@ -14,10 +14,10 @@
 //! * [`hmac`] — HMAC over either hash (used for deterministic identifier
 //!   derivation in the measurement name encoding).
 //! * [`bigint`] — arbitrary-precision unsigned integers with schoolbook
-//!   multiplication, Knuth Algorithm D division and square-and-multiply
-//!   modular exponentiation.
-//! * [`rsa`] — RSA key generation (Miller–Rabin), PKCS#1 v1.5 signing and
-//!   verification with SHA-1/SHA-256 `DigestInfo` encodings.
+//!   multiplication, Knuth Algorithm D division and fixed-width Montgomery
+//!   sliding-window modular exponentiation.
+//! * [`rsa`] — RSA key generation (Miller–Rabin), CRT PKCS#1 v1.5 signing
+//!   and verification with SHA-1/SHA-256 `DigestInfo` encodings.
 //!
 //! The implementations favor clarity and determinism over speed; they are
 //! more than fast enough for signing and verifying the simulated mail volume

@@ -2,7 +2,7 @@
 //! minimal ASN.1 DER codec needed for `SubjectPublicKeyInfo` — the encoding
 //! DKIM key records carry in their `p=` tag (RFC 6376 §3.6.1).
 
-use crate::bigint::{BigUint, Rng64};
+use crate::bigint::{BigUint, Montgomery, Rng64};
 use crate::HashAlg;
 
 /// Errors from RSA operations.
@@ -51,8 +51,9 @@ pub struct RsaPrivateKey {
     /// Private exponent.
     pub d: BigUint,
     /// CRT acceleration parameters, present when the factorization is
-    /// known (generated keys). Signatures are bit-identical with or
-    /// without them; `None` only costs speed.
+    /// known (generated keys with primes of at most 4,096 bits).
+    /// Signatures are bit-identical with or without them; `None` only
+    /// costs speed.
     pub crt: Option<RsaCrtParams>,
 }
 
@@ -61,35 +62,53 @@ pub struct RsaPrivateKey {
 /// `m^dP mod p` / `m^dQ mod q` and recombines with Garner's formula
 /// instead of one full-width `m^d mod n` — ~4× fewer limb operations,
 /// same signature bytes (`s = m^d mod n` is unique in `[0, n)`).
+///
+/// The primes are held only inside their Montgomery contexts, built
+/// once with the key, and the fields are private: no caller can change
+/// a prime and leave its context stale.
 #[derive(Debug, Clone)]
 pub struct RsaCrtParams {
-    /// First prime factor.
-    pub p: BigUint,
-    /// Second prime factor.
-    pub q: BigUint,
+    /// First prime factor, with its Montgomery context.
+    p: Montgomery,
+    /// Second prime factor, with its Montgomery context.
+    q: Montgomery,
     /// `d mod (p − 1)`.
-    pub dp: BigUint,
+    dp: BigUint,
     /// `d mod (q − 1)`.
-    pub dq: BigUint,
+    dq: BigUint,
     /// `q⁻¹ mod p`.
-    pub qinv: BigUint,
+    qinv: BigUint,
 }
 
 impl RsaCrtParams {
+    /// The CRT form of the key with primes `p ≠ q` and private exponent
+    /// `d`, or `None` when a prime is too wide for the Montgomery engine
+    /// (over 4,096 bits) and signing should use `m^d mod n` directly.
+    fn new(p: &BigUint, q: &BigUint, d: &BigUint) -> Option<RsaCrtParams> {
+        Some(RsaCrtParams {
+            p: Montgomery::new(p)?,
+            q: Montgomery::new(q)?,
+            dp: d.rem(&p.sub(&BigUint::one())),
+            dq: d.rem(&q.sub(&BigUint::one())),
+            qinv: q.mod_inverse(p)?,
+        })
+    }
+
     /// `m^d mod n` via the two prime-power residues.
     fn modpow_d(&self, m: &BigUint) -> BigUint {
-        let m1 = m.modpow(&self.dp, &self.p);
-        let m2 = m.modpow(&self.dq, &self.q);
+        let (p, q) = (self.p.modulus(), self.q.modulus());
+        let m1 = self.p.modpow(m, &self.dp);
+        let m2 = self.q.modpow(m, &self.dq);
         // h = qinv·(m1 − m2) mod p, with the subtraction lifted into
         // [0, p) first (m2 can be ≥ p when q > p).
-        let m2p = m2.rem(&self.p);
+        let m2p = m2.rem(p);
         let diff = if m1 >= m2p {
             m1.sub(&m2p)
         } else {
-            m1.add(&self.p).sub(&m2p)
+            m1.add(p).sub(&m2p)
         };
-        let h = diff.mulmod(&self.qinv, &self.p);
-        m2.add(&self.q.mul(&h))
+        let h = diff.mulmod(&self.qinv, p);
+        m2.add(&q.mul(&h))
     }
 }
 
@@ -127,27 +146,13 @@ impl RsaKeyPair {
             let Some(d) = e.mod_inverse(&phi) else {
                 continue;
             };
-            let Some(qinv) = q.mod_inverse(&p) else {
-                continue; // unreachable for distinct primes
-            };
-            let crt = RsaCrtParams {
-                dp: d.rem(&p.sub(&BigUint::one())),
-                dq: d.rem(&q.sub(&BigUint::one())),
-                qinv,
-                p,
-                q,
-            };
+            let crt = RsaCrtParams::new(&p, &q, &d);
             return RsaKeyPair {
                 public: RsaPublicKey {
                     n: n.clone(),
                     e: e.clone(),
                 },
-                private: RsaPrivateKey {
-                    n,
-                    e,
-                    d,
-                    crt: Some(crt),
-                },
+                private: RsaPrivateKey { n, e, d, crt },
             };
         }
     }
@@ -440,16 +445,47 @@ mod tests {
 
     #[test]
     fn crt_signature_is_bit_identical_to_plain() {
-        let kp = test_key();
-        assert!(kp.private.crt.is_some(), "generated keys carry CRT params");
-        let mut plain = kp.private.clone();
-        plain.crt = None;
-        for msg in [&b"abc"[..], b"", b"a longer message body\r\nwith lines"] {
-            let fast = kp.private.sign(HashAlg::Sha256, msg).unwrap();
-            let slow = plain.sign(HashAlg::Sha256, msg).unwrap();
-            assert_eq!(fast, slow, "CRT path diverged from m^d mod n");
-            kp.public.verify(HashAlg::Sha256, msg, &fast).unwrap();
+        // 512-, 1024- and 2048-bit keys: 4-, 8- and 16-limb primes. The
+        // campaign's 1024-bit keys sign with 8-limb primes.
+        for (bits, seed) in [(512, 0xd155_ec10), (1024, 0x1024), (2048, 0x2048)] {
+            let kp = RsaKeyPair::generate(bits, &mut SplitMix64::new(seed));
+            assert!(kp.private.crt.is_some(), "generated keys carry CRT params");
+            let mut plain = kp.private.clone();
+            plain.crt = None;
+            for msg in [&b"abc"[..], b"", b"a longer message body\r\nwith lines"] {
+                let fast = kp.private.sign(HashAlg::Sha256, msg).unwrap();
+                let slow = plain.sign(HashAlg::Sha256, msg).unwrap();
+                assert_eq!(fast, slow, "CRT path diverged from m^d mod n ({bits} bits)");
+                kp.public.verify(HashAlg::Sha256, msg, &fast).unwrap();
+            }
         }
+    }
+
+    #[test]
+    fn known_answer_signature_1024() {
+        // Key, digest and signature fixed before the fixed-width
+        // Montgomery engine replaced the Vec-based one; any change to
+        // key generation or signing arithmetic moves these bytes.
+        let kp = RsaKeyPair::generate(1024, &mut SplitMix64::new(0x6b61_7431));
+        let n = concat!(
+            "d147bf3dc39a023b7080e9b3eed2172b9fa21692926eab63e48ad2b2288d0f27",
+            "d164858626e8b35e0ac4e59623f494e7ce705a57156934bc37d353337aac52c7",
+            "2daf5618e8b5459ec3fce3bdf65975c977c5136c58ed4f40e57b4a1efc3a8617",
+            "6a1c968d8b3e061d144eeeeb18e30a26aa29aeec17ff01d03f9af1b03f0b87c3",
+        );
+        assert_eq!(crate::hex::encode(&kp.public.n.to_bytes_be()), n);
+        let digest = HashAlg::Sha256.digest(b"mailval known-answer digest");
+        let sig = kp.private.sign_digest(HashAlg::Sha256, &digest).unwrap();
+        let expected = concat!(
+            "b9d859ea259a3fa526a1eaa43c78e5f047442c4b80206588ed6b160dc85100c9",
+            "29134ae014375cb456ab318873ede7740bd05d58614f719daa525e6939236017",
+            "4f094e11640318069315ac167ec9300e3009bcb01ecd1bfe47f8da079f501bb0",
+            "da5da785cd2d61af5a822293e041dc9ce1a48ca95562617d92a43fa51b0f566e",
+        );
+        assert_eq!(crate::hex::encode(&sig), expected);
+        kp.public
+            .verify_digest(HashAlg::Sha256, &digest, &sig)
+            .unwrap();
     }
 
     #[test]

@@ -8,8 +8,9 @@
 #
 # Usage:
 #   scripts/verify.sh              # the full gate (fmt, clippy, build,
-#                                  # tests, chaos + resume determinism,
-#                                  # warm-store artifact determinism)
+#                                  # tests, every crate's tests, chaos +
+#                                  # resume determinism, warm-store
+#                                  # artifact determinism)
 #   scripts/verify.sh --chaos      # only the chaos determinism stage
 #   scripts/verify.sh --resume     # only the kill-and-resume stage
 #   scripts/verify.sh --artifacts  # only the artifact-store stage
@@ -17,10 +18,24 @@
 #   scripts/verify.sh --io         # only the storage-fault stage
 #   scripts/verify.sh --perf       # only the performance-regression stage
 #   scripts/verify.sh --trace      # only the telemetry stage
+#   scripts/verify.sh --workspace  # only the workspace test stage
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
 export CARGO_NET_OFFLINE=true
+
+workspace() {
+  # Every crate's own tests: the root `cargo test` runs only the root
+  # package, so crates/*/tests and the unit tests inside each crate
+  # (RSA known answers, SPF evaluation, the artifact store) run here.
+  # The crypto tests run again optimised, because release builds wrap
+  # integer overflow instead of trapping it and the Montgomery
+  # arithmetic must be right in the build the campaigns use.
+  echo "== workspace: every crate's tests (cargo test --workspace) =="
+  MAILVAL_QUIET=1 cargo test --workspace -q
+  echo "== workspace: optimised crypto tests (cargo test --release -p mailval-crypto) =="
+  cargo test --release -q -p mailval-crypto
+}
 
 chaos() {
   # Fault-injection determinism: a campaign under 5% datagram loss,
@@ -143,6 +158,12 @@ trace() {
   "$bin" bench-trace "$dir/BENCH_trace.json"
 }
 
+if [[ "${1:-}" == "--workspace" ]]; then
+  workspace
+  echo "verify --workspace: OK"
+  exit 0
+fi
+
 if [[ "${1:-}" == "--chaos" ]]; then
   chaos
   echo "verify --chaos: OK"
@@ -197,6 +218,7 @@ cargo build --release
 echo "== tier-1: cargo test -q (MAILVAL_QUIET silences progress) =="
 MAILVAL_QUIET=1 cargo test -q
 
+workspace
 chaos
 resume
 hostile
