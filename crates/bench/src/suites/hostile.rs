@@ -220,6 +220,9 @@ pub struct FuzzReport {
     pub accepted: u64,
     /// Mutated frames the parsers refused — every one classified.
     pub rejected: u64,
+    /// Accepted DNS frames whose decoded message re-encoded and decoded
+    /// back to itself (every accepted DNS frame must).
+    pub round_trips: u64,
     /// Accepted DNS frames whose TXT rdata then failed SPF record
     /// parsing (graceful `Err`, not a [`MalformedClass`]: a syntactically
     /// broken policy is a *policy* problem, not a wire problem).
@@ -257,14 +260,19 @@ pub fn fuzz(frames_arg: Option<String>) {
         report.rejected,
         "every rejection must carry exactly one classification"
     );
+    assert!(
+        report.round_trips > 0 && report.round_trips <= report.accepted,
+        "accepted DNS frames must round-trip through the encoder"
+    );
     progress!(
         "fuzz: {} frames in {:.2}s ({:.0}/s): {} accepted, {} rejected, \
-         {} spf-record rejects, 0 panics",
+         {} dns round-trips, {} spf-record rejects, 0 panics",
         report.frames,
         wall_s,
         report.frames as f64 / wall_s,
         report.accepted,
         report.rejected,
+        report.round_trips,
         report.spf_record_rejected
     );
     for (class, n) in report.malformed.iter() {
@@ -417,6 +425,7 @@ pub fn fuzz_run(frames: u64, seed: u64) -> FuzzReport {
         unmutated: 0,
         accepted: 0,
         rejected: 0,
+        round_trips: 0,
         spf_record_rejected: 0,
         malformed: MalformedStats::default(),
     };
@@ -476,6 +485,16 @@ fn fuzz_dns_frame(
                     }
                 }
             }
+            // Hostile but accepted names (near 255 bytes, pointer
+            // chains, printable bytes that look like length octets) must
+            // survive the compressor: re-encoding gives back the message.
+            let reencoded = msg.try_to_bytes().expect("an accepted message re-encodes");
+            assert_eq!(
+                Message::from_bytes(&reencoded).as_ref(),
+                Ok(&msg),
+                "DNS frame {frame} did not round-trip"
+            );
+            report.round_trips += 1;
         }
         Err(e) => {
             report.rejected += 1;
@@ -526,6 +545,10 @@ fn dns_corpus() -> Vec<Vec<u8>> {
         response.answers = answers;
         response.to_bytes()
     };
+    // Names built to stress the compressor once mutated: labels whose
+    // printable bytes (`!` is 0x21, `?` is 0x3f) double as length
+    // octets, under an exchange name of exactly 255 bytes.
+    let stress = format!("{}.{}.example.test", "!".repeat(63), "?".repeat(63));
     vec![
         build(
             "mx1.example.test",
@@ -601,6 +624,25 @@ fn dns_corpus() -> Vec<Vec<u8>> {
                 RData::txt_from_str(&format!("v=spf1 {} -all", "ip4:198.51.100.1 ".repeat(30))),
             )],
         ),
+        build(
+            &stress,
+            RecordType::Mx,
+            vec![
+                Record::new(
+                    name(&stress),
+                    60,
+                    RData::Mx {
+                        preference: 5,
+                        exchange: name(&format!("{}.{}.{stress}", "b".repeat(48), "a".repeat(63))),
+                    },
+                ),
+                Record::new(
+                    name(&format!("x!{}.example.test", "a".repeat(33))),
+                    60,
+                    RData::Cname(name(&format!("{}.example.test", "a".repeat(33)))),
+                ),
+            ],
+        ),
     ]
 }
 
@@ -629,6 +671,10 @@ mod tests {
         assert_eq!(report.unmutated, 0);
         assert_eq!(report.accepted + report.rejected, 2_000);
         assert_eq!(report.malformed.total(), report.rejected);
+        assert!(
+            report.round_trips > 0,
+            "no accepted DNS frame round-tripped"
+        );
         // The palette is broad enough that a 2k-frame run must reject a
         // healthy share on both channels.
         assert!(report.rejected > 200, "rejected {}", report.rejected);
@@ -666,6 +712,7 @@ mod tests {
         assert_eq!(a.accepted, b.accepted);
         assert_eq!(a.rejected, b.rejected);
         assert_eq!(a.spf_record_rejected, b.spf_record_rejected);
+        assert_eq!(a.round_trips, b.round_trips);
         for (class, n) in a.malformed.iter() {
             assert_eq!(b.malformed.count(class), n, "{class:?} diverged");
         }

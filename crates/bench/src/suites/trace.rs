@@ -118,18 +118,20 @@ fn baseline_sessions_per_s(json: &str) -> Option<f64> {
 /// Run the overhead gate, writing the JSON report to `out_path`
 /// (default `results/BENCH_trace.json`). Returns `false` on any
 /// overhead or determinism violation (the `verify.sh --trace` stage).
+/// Verdicts go to stdout, not the `[mailval]` progress channel, so
+/// `MAILVAL_QUIET` never hides why the gate failed.
 pub fn run(out_path: Option<String>) -> bool {
     let out_path = out_path.unwrap_or_else(|| "results/BENCH_trace.json".to_string());
     let baseline_path = "results/BENCH_perf.json";
     let baseline = match std::fs::read_to_string(baseline_path) {
         Ok(s) => s,
         Err(e) => {
-            progress!("bench-trace: cannot read baseline {baseline_path}: {e}");
+            println!("bench-trace: cannot read baseline {baseline_path}: {e}");
             return false;
         }
     };
     let Some(base_sps) = baseline_sessions_per_s(&baseline) else {
-        progress!(
+        println!(
             "bench-trace: no {BASELINE_SCALE}/shards={BASELINE_SHARDS} row in {baseline_path}"
         );
         return false;
@@ -163,15 +165,15 @@ pub fn run(out_path: Option<String>) -> bool {
 
     let mut ok = true;
     if !hash_matches {
-        progress!("bench-trace: FAIL content hash of traced run differs from untraced run");
+        println!("bench-trace: FAIL content hash of traced run differs from untraced run");
         ok = false;
     }
     if trace_events == 0 {
-        progress!("bench-trace: FAIL traced run recorded no events");
+        println!("bench-trace: FAIL traced run recorded no events");
         ok = false;
     }
     if off_overhead > MAX_OFF_OVERHEAD {
-        progress!(
+        println!(
             "bench-trace: FAIL tracing-off overhead {:.1}% > {:.0}%",
             off_overhead * 100.0,
             MAX_OFF_OVERHEAD * 100.0
@@ -179,7 +181,7 @@ pub fn run(out_path: Option<String>) -> bool {
         ok = false;
     }
     if on_overhead > MAX_ON_OVERHEAD {
-        progress!(
+        println!(
             "bench-trace: FAIL tracing-on overhead {:.1}% > {:.0}%",
             on_overhead * 100.0,
             MAX_ON_OVERHEAD * 100.0
@@ -191,7 +193,7 @@ pub fn run(out_path: Option<String>) -> bool {
     std::fs::write(&out_path, &json).expect("write result file");
     progress!("bench-trace: wrote {out_path}");
     if ok {
-        progress!("bench-trace: check passed");
+        println!("bench-trace: check passed");
     }
     ok
 }

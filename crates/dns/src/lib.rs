@@ -20,7 +20,6 @@
 #![warn(missing_docs)]
 #![forbid(unsafe_code)]
 
-pub mod interner;
 pub mod message;
 pub mod name;
 pub mod resolver;
@@ -29,8 +28,7 @@ pub mod server;
 pub mod wire;
 pub mod zone;
 
-pub use interner::{NameId, NameInterner};
 pub use message::{truncate_response, Message, Question};
-pub use name::{Name, NameError};
+pub use name::{Labels, Name, NameError};
 pub use rr::{RData, Record, RecordClass, RecordType};
 pub use wire::{Rcode, WireError};

@@ -1,15 +1,16 @@
 //! DNS wire format (RFC 1035 §4): header, questions, resource records,
 //! name compression and decompression.
 //!
-//! The encoder performs standard suffix compression (every encoded name
-//! suffix at an offset < 0x4000 is remembered and reused as a pointer).
-//! The decoder follows compression pointers with strict loop protection:
-//! pointers must point strictly backwards, bounding the walk.
+//! The encoder performs standard suffix compression: it remembers the
+//! offset of every label it writes below 0x3fff and points each later
+//! name suffix at the first of them that spells the same suffix. The
+//! decoder follows compression pointers with strict loop protection:
+//! pointers must point strictly backwards, bounding the walk. Neither
+//! side allocates per label: names move as their wire-form bytes.
 
 use crate::message::{Message, Question};
-use crate::name::{Name, MAX_LABEL_LEN};
+use crate::name::{Name, MAX_NAME_LEN};
 use crate::rr::{RData, Record, RecordClass, RecordType, SoaData};
-use std::collections::HashMap;
 use std::net::{Ipv4Addr, Ipv6Addr};
 
 /// Response codes (RFC 1035 §4.1.1, names per RFC 2136 usage).
@@ -103,9 +104,11 @@ impl std::error::Error for WireError {}
 /// Streaming encoder with name compression.
 pub struct Encoder {
     buf: Vec<u8>,
-    /// Map from a name's presentation form to the offset of its first
-    /// occurrence, for compression pointers.
-    name_offsets: HashMap<String, usize>,
+    /// Offset of every label written by [`Encoder::put_name`] below the
+    /// pointer limit, ascending. The name encoded at each one (pointers
+    /// followed) is the suffix that label started, and no suffix is
+    /// written twice, so the first match is the first occurrence.
+    label_offsets: Vec<u16>,
 }
 
 impl Default for Encoder {
@@ -117,10 +120,7 @@ impl Default for Encoder {
 impl Encoder {
     /// Create an empty encoder.
     pub fn new() -> Self {
-        Encoder {
-            buf: Vec::with_capacity(512),
-            name_offsets: HashMap::new(),
-        }
+        Encoder::with_buf(Vec::with_capacity(512))
     }
 
     /// Create an encoder that reuses `buf`'s allocation (cleared). Lets
@@ -129,7 +129,7 @@ impl Encoder {
         buf.clear();
         Encoder {
             buf,
-            name_offsets: HashMap::new(),
+            label_offsets: Vec::with_capacity(16),
         }
     }
 
@@ -160,63 +160,67 @@ impl Encoder {
         self.buf.extend_from_slice(&v.to_be_bytes());
     }
 
-    /// Encode a name with compression.
-    ///
-    /// Fails with [`WireError::BadLabel`] on a label over
-    /// [`MAX_LABEL_LEN`] bytes: the length prefix is a single byte with
-    /// the top two bits reserved for compression pointers, so an
-    /// oversized label cannot be represented — truncating it (what an
-    /// unchecked `as u8` cast would do) would silently corrupt the
-    /// message.
-    pub fn put_name(&mut self, name: &Name) -> Result<(), WireError> {
-        let labels = name.labels();
-        for i in 0..labels.len() {
-            let suffix: Vec<&str> = labels[i..].iter().map(|s| s.as_str()).collect();
-            let key = suffix.join(".");
-            if let Some(&off) = self.name_offsets.get(&key) {
-                // Emit a pointer to the previously-encoded suffix.
-                self.put_u16(0xc000 | off as u16);
-                return Ok(());
+    /// Encode a name with compression: the longest suffix already
+    /// written becomes a pointer to its first occurrence.
+    pub fn put_name(&mut self, name: &Name) {
+        let mut rest = name.wire();
+        while let Some(&len) = rest.first() {
+            let earlier = self.label_offsets.iter().find(|&&at| self.spells(at, rest));
+            if let Some(&at) = earlier {
+                self.put_u16(0xc000 | at);
+                return;
             }
             if self.buf.len() < 0x3fff {
-                self.name_offsets.insert(key, self.buf.len());
+                self.label_offsets.push(self.buf.len() as u16);
             }
-            let label = &labels[i];
-            if label.len() > MAX_LABEL_LEN {
-                return Err(WireError::BadLabel);
-            }
-            self.put_u8(label.len() as u8);
-            self.buf.extend_from_slice(label.as_bytes());
+            let (label, tail) = rest.split_at(1 + len as usize);
+            self.buf.extend_from_slice(label);
+            rest = tail;
         }
         self.put_u8(0);
-        Ok(())
+    }
+
+    /// True if the name encoded at `at`, pointers followed, is exactly
+    /// `wire` (labels in wire form, no root terminator). A walk that runs
+    /// into the end of the buffer is the name still being written, which
+    /// matches nothing.
+    fn spells(&self, at: u16, mut wire: &[u8]) -> bool {
+        let mut at = usize::from(at);
+        while let Some(&len) = self.buf.get(at) {
+            if len >= 0xc0 {
+                at = usize::from(len & 0x3f) << 8 | usize::from(self.buf[at + 1]);
+                continue;
+            }
+            if len == 0 {
+                return wire.is_empty();
+            }
+            // Labels are written whole, so a recorded chain never ends
+            // mid-label.
+            let end = at + 1 + usize::from(len);
+            match wire.strip_prefix(&self.buf[at..end]) {
+                Some(rest) => (wire, at) = (rest, end),
+                None => return false,
+            }
+        }
+        false
     }
 
     /// Encode a name without compression (required inside RDATA of types
     /// that some implementations won't decompress; we compress only
-    /// NS/CNAME/PTR/MX/SOA names which RFC 3597 grandfathers). Same
-    /// label-length failure mode as [`Encoder::put_name`].
-    pub fn put_name_uncompressed(&mut self, name: &Name) -> Result<(), WireError> {
-        for label in name.labels() {
-            if label.len() > MAX_LABEL_LEN {
-                return Err(WireError::BadLabel);
-            }
-            self.put_u8(label.len() as u8);
-            self.buf.extend_from_slice(label.as_bytes());
-        }
+    /// NS/CNAME/PTR/MX/SOA names which RFC 3597 grandfathers).
+    pub fn put_name_uncompressed(&mut self, name: &Name) {
+        self.buf.extend_from_slice(name.wire());
         self.put_u8(0);
-        Ok(())
     }
 
-    fn put_question(&mut self, q: &Question) -> Result<(), WireError> {
-        self.put_name(&q.name)?;
+    fn put_question(&mut self, q: &Question) {
+        self.put_name(&q.name);
         self.put_u16(q.rtype.code());
         self.put_u16(q.class.code());
-        Ok(())
     }
 
     fn put_record(&mut self, r: &Record) -> Result<(), WireError> {
-        self.put_name(&r.name)?;
+        self.put_name(&r.name);
         self.put_u16(r.rtype().code());
         self.put_u16(r.class.code());
         self.put_u32(r.ttl);
@@ -227,13 +231,13 @@ impl Encoder {
         match &r.rdata {
             RData::A(ip) => self.buf.extend_from_slice(&ip.octets()),
             RData::Aaaa(ip) => self.buf.extend_from_slice(&ip.octets()),
-            RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) => self.put_name(n)?,
+            RData::Ns(n) | RData::Cname(n) | RData::Ptr(n) => self.put_name(n),
             RData::Mx {
                 preference,
                 exchange,
             } => {
                 self.put_u16(*preference);
-                self.put_name(exchange)?;
+                self.put_name(exchange);
             }
             RData::Txt(strings) => {
                 for s in strings {
@@ -245,8 +249,8 @@ impl Encoder {
                 }
             }
             RData::Soa(soa) => {
-                self.put_name(&soa.mname)?;
-                self.put_name(&soa.rname)?;
+                self.put_name(&soa.mname);
+                self.put_name(&soa.rname);
                 self.put_u32(soa.serial);
                 self.put_u32(soa.refresh);
                 self.put_u32(soa.retry);
@@ -261,10 +265,10 @@ impl Encoder {
     }
 }
 
-/// Encode a complete message to wire format. Fails if any name label or
-/// TXT character-string cannot be represented (see
-/// [`Encoder::put_name`]); a `Message` built from validated [`Name`]s
-/// and [`RData::txt_from_str`] chunks always encodes.
+/// Encode a complete message to wire format. Fails if a TXT
+/// character-string exceeds 255 bytes; every [`Name`] is valid by
+/// construction, so a `Message` whose TXT data comes from
+/// [`RData::txt_from_str`] chunks always encodes.
 pub fn encode_message(msg: &Message) -> Result<Vec<u8>, WireError> {
     encode_message_with(msg, Vec::with_capacity(512))
 }
@@ -297,7 +301,7 @@ pub fn encode_message_with(msg: &Message, buf: Vec<u8>) -> Result<Vec<u8>, WireE
     enc.put_u16(msg.authorities.len() as u16);
     enc.put_u16(msg.additionals.len() as u16);
     for q in &msg.questions {
-        enc.put_question(q)?;
+        enc.put_question(q);
     }
     for r in &msg.answers {
         enc.put_record(r)?;
@@ -350,43 +354,42 @@ impl<'a> Decoder<'a> {
     }
 
     /// Decode a (possibly compressed) name starting at the current
-    /// position. Pointers must point strictly backwards.
+    /// position. Pointers must point strictly backwards. Each label is
+    /// validated and lowercased once, into a stack buffer; the name is
+    /// allocated once at the end.
     fn get_name(&mut self) -> Result<Name, WireError> {
-        let mut labels: Vec<String> = Vec::new();
-        let mut wire_len = 1usize; // terminating zero
+        let mut buf = [0u8; MAX_NAME_LEN];
+        let mut len = 0usize; // bytes of `buf` in use; +1 terminator on the wire
         let mut pos = self.pos;
-        // `end` is where parsing resumes after the name: set at the first
-        // pointer encountered (or after the terminating zero if none).
+        // Where parsing resumes after the name: set at the first pointer
+        // encountered (or after the terminating zero if none).
         let mut resume: Option<usize> = None;
         // Strictly-decreasing pointer targets bound the loop.
         let mut min_ptr = pos;
 
         loop {
-            let len = *self.data.get(pos).ok_or(WireError::Truncated)?;
-            match len {
+            let label_len = *self.data.get(pos).ok_or(WireError::Truncated)?;
+            match label_len {
                 0 => {
                     pos += 1;
                     break;
                 }
                 1..=63 => {
                     let start = pos + 1;
-                    let end = start + len as usize;
-                    if end > self.data.len() {
-                        return Err(WireError::Truncated);
-                    }
-                    wire_len += 1 + len as usize;
-                    if wire_len > 255 {
+                    let end = start + label_len as usize;
+                    let raw = self.data.get(start..end).ok_or(WireError::Truncated)?;
+                    let next = len + 1 + raw.len();
+                    if next + 1 > MAX_NAME_LEN {
                         return Err(WireError::NameTooLong);
                     }
-                    let raw = &self.data[start..end];
-                    let mut label = String::with_capacity(raw.len());
-                    for &b in raw {
+                    buf[len] = label_len;
+                    for (dst, &b) in buf[len + 1..next].iter_mut().zip(raw) {
                         if !(0x21..=0x7e).contains(&b) || b == b'.' {
                             return Err(WireError::BadName);
                         }
-                        label.push(b.to_ascii_lowercase() as char);
+                        *dst = b.to_ascii_lowercase();
                     }
-                    labels.push(label);
+                    len = next;
                     pos = end;
                 }
                 l if l & 0xc0 == 0xc0 => {
@@ -405,7 +408,7 @@ impl<'a> Decoder<'a> {
             }
         }
         self.pos = resume.unwrap_or(pos);
-        Name::from_labels(labels).map_err(|_| WireError::BadName)
+        Ok(Name::from_wire(&buf[..len]))
     }
 
     fn get_question(&mut self) -> Result<Question, WireError> {
@@ -813,15 +816,20 @@ mod tests {
     }
 
     #[test]
-    fn encoder_rejects_oversized_label() {
-        // `Name::parse`/`from_labels` refuse labels over 63 bytes, so the
-        // encoder-side check is defense in depth for names of other
-        // provenance; exercise it through the raw Encoder API.
-        let long = "a".repeat(MAX_LABEL_LEN + 1);
+    fn oversized_labels_never_reach_the_encoder() {
+        // `Name` constructors refuse labels over 63 bytes, so every name
+        // the encoder sees has representable length octets and
+        // `put_name` cannot fail; exercise it through the raw Encoder API.
+        let long = "a".repeat(crate::name::MAX_LABEL_LEN + 1);
         let name = Name::from_labels(vec![long]);
         assert!(name.is_err(), "Name constructors reject oversized labels");
         let mut enc = Encoder::new();
-        assert_eq!(enc.put_name(&n("ok.example")), Ok(()));
-        assert_eq!(enc.put_name_uncompressed(&n("ok.example")), Ok(()));
+        enc.put_name(&n("ok.example"));
+        enc.put_name_uncompressed(&n("ok.example"));
+        enc.put_name(&n("ok.example"));
+        assert_eq!(
+            enc.into_bytes(),
+            b"\x02ok\x07example\x00\x02ok\x07example\x00\xc0\x00".to_vec()
+        );
     }
 }

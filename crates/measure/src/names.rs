@@ -99,26 +99,23 @@ impl NameScheme {
     pub fn parse(&self, name: &Name) -> Option<ParsedName> {
         if let Some(left) = name.strip_suffix(&self.probe_suffix) {
             // left = [path..., testid, mtaid]
-            if left.len() < 2 {
+            let mut path: Vec<String> = left.map(str::to_owned).collect();
+            let (Some(mtaid), Some(testid)) = (path.pop(), path.pop()) else {
                 return None;
-            }
-            let mtaid = left[left.len() - 1].clone();
-            let testid = left[left.len() - 2].clone();
+            };
             if !mtaid.starts_with('m') || !testid.starts_with('t') {
                 return None;
             }
             return Some(ParsedName {
                 testid: Some(testid),
                 entity: mtaid,
-                path: left[..left.len() - 2].to_vec(),
+                path,
             });
         }
         if let Some(left) = name.strip_suffix(&self.notify_suffix) {
             // left = [path..., domainid]
-            if left.is_empty() {
-                return None;
-            }
-            let domainid = left[left.len() - 1].clone();
+            let mut path: Vec<String> = left.map(str::to_owned).collect();
+            let domainid = path.pop()?;
             if !domainid.starts_with('d') {
                 // _dmarc.<domainid>... parses with domainid in last slot;
                 // names like `_dmarc.d00001.suffix` have the id last.
@@ -127,7 +124,7 @@ impl NameScheme {
             return Some(ParsedName {
                 testid: None,
                 entity: domainid,
-                path: left[..left.len() - 1].to_vec(),
+                path,
             });
         }
         None
