@@ -9,7 +9,7 @@
 //! mailval-artifacts --list               # what exists
 //! mailval-artifacts --store DIR table4   # explicit store directory
 //! mailval-artifacts --no-store table4    # always simulate, never persist
-//! mailval-artifacts bench-campaign [OUT] # performance suites
+//! mailval-artifacts bench-perf [OUT]     # performance suites
 //! ```
 //!
 //! Artifact text goes to stdout; all progress (campaign content
@@ -24,7 +24,7 @@ use std::process::ExitCode;
 
 const USAGE: &str = "\
 usage: mailval-artifacts [OPTIONS] ARTIFACT...
-       mailval-artifacts bench-campaign|bench-chaos|bench-resume|bench-hostile|bench-io|bench-perf [OUT.json]
+       mailval-artifacts bench-chaos|bench-resume|bench-hostile|bench-io|bench-perf [OUT.json]
        mailval-artifacts bench-perf-check [BASELINE.json]
        mailval-artifacts bench-trace [OUT.json]
        mailval-artifacts trace [--session N]... [--shard K/N] [--metrics] [--out FILE]
@@ -47,69 +47,26 @@ environment: MAILVAL_SCALE, MAILVAL_SEED, MAILVAL_SHARDS, MAILVAL_STORE";
 fn main() -> ExitCode {
     let args: Vec<String> = std::env::args().skip(1).collect();
 
-    // Suite subcommands keep their old behavior (JSON reports).
+    // Suite subcommands write JSON reports; gates exit non-zero on failure.
     if let Some(first) = args.first() {
-        let out = args.get(1).cloned();
-        match first.as_str() {
-            "bench-campaign" => {
-                suites::campaign::run(out);
-                return ExitCode::SUCCESS;
-            }
-            "bench-chaos" => {
-                suites::chaos::run(out);
-                return ExitCode::SUCCESS;
-            }
-            "bench-resume" => {
-                suites::resume::run(out);
-                return ExitCode::SUCCESS;
-            }
-            "bench-hostile" => {
-                suites::hostile::run(out);
-                return ExitCode::SUCCESS;
-            }
-            "bench-io" => {
-                suites::io::run(out);
-                return ExitCode::SUCCESS;
-            }
-            "bench-perf" => {
-                suites::perf::run(out);
-                return ExitCode::SUCCESS;
-            }
-            "bench-perf-check" => {
-                // The perf gate: non-zero exit on setup-share or
-                // throughput regression vs the committed baseline.
-                return if suites::perf::check(out) {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                };
-            }
-            "bench-trace" => {
-                // The telemetry gate: non-zero exit on tracer overhead
-                // or a traced-vs-untraced content-hash divergence.
-                return if suites::trace::run(out) {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::FAILURE
-                };
-            }
-            "trace" => {
-                // Chrome trace-event / metrics JSON export.
-                return if suites::trace::export(&args[1..]) {
-                    ExitCode::SUCCESS
-                } else {
-                    ExitCode::from(2)
-                };
-            }
-            "fuzz" => {
-                suites::hostile::fuzz(out);
-                return ExitCode::SUCCESS;
-            }
-            _ => {}
+        if let Some((_, run)) = suites::COMMANDS.iter().find(|(name, _)| name == first) {
+            return if run(args.get(1).cloned()) {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::FAILURE
+            };
+        }
+        if first == "trace" {
+            // Chrome trace-event / metrics JSON export.
+            return if suites::trace::export(&args[1..]) {
+                ExitCode::SUCCESS
+            } else {
+                ExitCode::from(2)
+            };
         }
     }
 
-    let mut names: Vec<&'static str> = Vec::new();
+    let mut selected: Vec<&'static Artifact> = Vec::new();
     let mut all = false;
     let mut store_dir: Option<String> = None;
     let mut no_store = false;
@@ -136,7 +93,7 @@ fn main() -> ExitCode {
                 }
             },
             name => match by_name(name) {
-                Some(a) => names.push(a.name),
+                Some(a) => selected.push(a),
                 None => {
                     eprintln!("error: unknown artifact '{name}' (try --list)");
                     return ExitCode::from(2);
@@ -144,14 +101,9 @@ fn main() -> ExitCode {
             },
         }
     }
-    let selected: Vec<&'static Artifact> = if all {
-        ALL.iter().collect()
-    } else {
-        names
-            .iter()
-            .map(|n| by_name(n).expect("validated"))
-            .collect()
-    };
+    if all {
+        selected = ALL.iter().collect();
+    }
     if selected.is_empty() {
         eprintln!("error: no artifacts selected\n{USAGE}");
         return ExitCode::from(2);

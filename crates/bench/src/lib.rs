@@ -8,9 +8,9 @@
 //! persists it in the content-addressed
 //! [`mailval_measure::store::CampaignStore`], and renders everything
 //! else from disk. A warm store renders the full suite with zero
-//! simulations. The [`suites`] module carries the three performance
-//! suites (campaign throughput, chaos sweep, journal overhead) behind
-//! CLI subcommands.
+//! simulations. The [`suites`] module carries the bench suites behind
+//! the `bench-*` CLI subcommands, each a table row over one shared
+//! sweep (`suites::sweep`).
 //!
 //! The CLI reads the environment variables:
 //!
@@ -95,11 +95,6 @@ impl Env {
             shards: shards(),
         }
     }
-}
-
-/// Generate a population at the environment's configured scale.
-pub fn population(kind: DatasetKind) -> Population {
-    population_with(&Env::from_env(), kind)
 }
 
 /// Generate a population for an explicit [`Env`].

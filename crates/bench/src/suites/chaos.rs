@@ -8,13 +8,9 @@
 //! resets and stalls) stay fixed across the sweep so the loss axis is
 //! the only variable.
 
-use mailval_datasets::{DatasetKind, Population, PopulationConfig};
-use mailval_measure::campaign::{
-    run_campaign, sample_host_profiles, CampaignConfig, CampaignKind, PhaseTimes,
-};
-use mailval_measure::progress;
-use mailval_simnet::{FaultConfig, FaultStats, LatencyModel};
-use std::time::Instant;
+use super::sweep::{Point, Suite};
+use mailval_measure::campaign::CampaignConfig;
+use mailval_simnet::{FaultConfig, LatencyModel};
 
 /// ~1,000 of the paper's 26,695 NotifyEmail domains.
 const SCALE: f64 = 1_000.0 / 26_695.0;
@@ -22,161 +18,42 @@ const SCALE: f64 = 1_000.0 / 26_695.0;
 /// The loss axis of the sweep.
 const LOSS_RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
 
-struct Run {
-    loss: f64,
-    sessions: usize,
-    delivered: usize,
-    rejected: usize,
-    dead: usize,
-    queries: usize,
-    events: u64,
-    wall_s: f64,
-    sessions_per_s: f64,
-    phases: PhaseTimes,
-    faults: FaultStats,
-}
+/// The fault sweep: loss changes the output, so nothing is invariant.
+pub(crate) const SUITE: Suite = Suite {
+    name: "bench-chaos",
+    benchmark: "chaos_fault_sweep",
+    out: "results/BENCH_chaos.json",
+    scales: &[("1k", SCALE)],
+    rounds: 1,
+    profiles: |_| {},
+    points: |base| LOSS_RATES.map(|loss| point(base, loss)).into(),
+    invariant: false,
+    extras: &[],
+    header: &[],
+};
 
-/// Run the suite, writing the JSON report to `out_path` (default
-/// `results/BENCH_chaos.json`).
-pub fn run(out_path: Option<String>) {
-    let out_path = out_path.unwrap_or_else(|| "results/BENCH_chaos.json".to_string());
-    let seed = crate::seed();
-    let shards = crate::shards();
-    let pop = Population::generate(&PopulationConfig {
-        kind: DatasetKind::NotifyEmail,
-        scale: SCALE,
-        seed,
-    });
-    let profiles = sample_host_profiles(&pop, seed);
-    progress!(
-        "bench-chaos: NotifyEmail, {} domains / {} hosts, seed {seed}, {shards} shard(s)",
-        pop.domains.len(),
-        pop.hosts.len()
-    );
-
-    let mut runs: Vec<Run> = Vec::new();
-    for loss in LOSS_RATES {
-        let latency = LatencyModel {
+/// The campaign at one loss rate, the other chaos faults held fixed.
+pub(crate) fn point(base: &CampaignConfig, loss: f64) -> Point {
+    let config = CampaignConfig {
+        latency: LatencyModel {
             loss_probability: loss,
             ..LatencyModel::default()
-        };
-        let config = CampaignConfig {
-            kind: CampaignKind::NotifyEmail,
-            tests: vec![],
-            seed,
-            probe_pause_ms: 0,
-            latency,
-            shards,
-            faults: FaultConfig {
-                duplicate_probability: 0.02,
-                reorder_probability: 0.02,
-                reorder_delay_ms: 40,
-                truncate_probability: 0.02,
-                conn_reset_probability: 0.01,
-                conn_stall_probability: 0.02,
-                conn_stall_ms: 200,
-                seed,
-                ..Default::default()
-            },
-            ..CampaignConfig::default()
-        };
-        let start = Instant::now();
-        let result = run_campaign(&config, &pop, &profiles);
-        let wall_s = start.elapsed().as_secs_f64();
-
-        let delivered = result
-            .sessions
-            .iter()
-            .filter(|s| s.delivery_time_ms.is_some())
-            .count();
-        let rejected = result
-            .sessions
-            .iter()
-            .filter(|s| {
-                s.delivery_time_ms.is_none()
-                    && s.outcome.as_ref().is_some_and(|o| o.rejection.is_some())
-            })
-            .count();
-        let dead = result.sessions.len() - delivered - rejected;
-        let run = Run {
-            loss,
-            sessions: result.sessions.len(),
-            delivered,
-            rejected,
-            dead,
-            queries: result.log.records.len(),
-            events: result.events,
-            wall_s,
-            sessions_per_s: result.sessions.len() as f64 / wall_s,
-            phases: result.phases,
-            faults: result.faults,
-        };
-        progress!(
-            "bench-chaos: loss={:<4} {:>7.3}s wall  {:>8.0} sessions/s  \
-             delivered {} / rejected {} / dead {}",
-            run.loss,
-            run.wall_s,
-            run.sessions_per_s,
-            run.delivered,
-            run.rejected,
-            run.dead
-        );
-        runs.push(run);
+        },
+        faults: FaultConfig {
+            duplicate_probability: 0.02,
+            reorder_probability: 0.02,
+            reorder_delay_ms: 40,
+            truncate_probability: 0.02,
+            conn_reset_probability: 0.01,
+            conn_stall_probability: 0.02,
+            conn_stall_ms: 200,
+            seed: base.seed,
+            ..Default::default()
+        },
+        ..base.clone()
+    };
+    Point {
+        axis: vec![("loss", loss.to_string())],
+        config,
     }
-
-    let json = render_json(&pop, seed, shards, &runs);
-    std::fs::write(&out_path, &json).expect("write result file");
-    progress!("bench-chaos: wrote {out_path}");
-}
-
-fn render_json(pop: &Population, seed: u64, shards: usize, runs: &[Run]) -> String {
-    let mut s = String::new();
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"chaos_fault_sweep\",\n");
-    s.push_str(&format!("  \"cpus\": {cpus},\n"));
-    s.push_str(&format!("  \"domains\": {},\n", pop.domains.len()));
-    s.push_str(&format!("  \"hosts\": {},\n", pop.hosts.len()));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"shards\": {shards},\n"));
-    s.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let f = &r.faults;
-        s.push_str(&format!(
-            "    {{\"loss\": {}, \"sessions\": {}, \"delivered\": {}, \
-             \"rejected\": {}, \"dead\": {}, \"queries_logged\": {}, \
-             \"events\": {}, \"wall_s\": {:.3}, \"sessions_per_s\": {:.1}, {}, \
-             \"faults\": {{\"dns_dropped\": {}, \"dns_duplicated\": {}, \
-             \"dns_delayed\": {}, \"dns_truncated\": {}, \"dns_timeouts\": {}, \
-             \"conn_resets\": {}, \"conn_stalls\": {}, \"mta_stalls\": {}, \
-             \"tempfails\": {}, \"client_retries\": {}, \
-             \"contained_panics\": {}}}}}{}\n",
-            r.loss,
-            r.sessions,
-            r.delivered,
-            r.rejected,
-            r.dead,
-            r.queries,
-            r.events,
-            r.wall_s,
-            r.sessions_per_s,
-            super::phases_json(&r.phases),
-            f.dns_dropped,
-            f.dns_duplicated,
-            f.dns_delayed,
-            f.dns_truncated,
-            f.dns_timeouts,
-            f.conn_resets,
-            f.conn_stalls,
-            f.mta_stalls,
-            f.tempfails,
-            f.client_retries,
-            f.contained_panics,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
 }

@@ -23,20 +23,19 @@
 //! load must come back as a clean reject or a byte-faithful result —
 //! never a panic, never silently different data.
 
+use super::sweep::{Extra, Point, Suite};
 use mailval_datasets::{DatasetKind, Population, PopulationConfig};
 use mailval_dmarc::record::looks_like_dmarc;
 use mailval_dmarc::DmarcRecord;
 use mailval_dns::{Message, Name, RData, Rcode, Record, RecordType};
-use mailval_measure::campaign::{
-    run_campaign, sample_host_profiles, CampaignConfig, CampaignKind, PhaseTimes,
-};
+use mailval_measure::campaign::{run_campaign, sample_host_profiles, CampaignConfig, CampaignKind};
 use mailval_measure::hostile::{classify_reply, classify_wire, synthesize_hostile_dns};
 use mailval_measure::store::{CampaignStore, KeySpec};
 use mailval_measure::vfs::SimFs;
 use mailval_measure::{journal, progress};
 use mailval_simnet::{
-    DnsMutation, FaultCursor, FaultStats, IoConfig, IoPlan, MalformedClass, MalformedStats,
-    PayloadConfig, PayloadPlan, SimRng,
+    DnsMutation, FaultCursor, IoConfig, IoPlan, MalformedClass, MalformedStats, PayloadConfig,
+    PayloadPlan, SimRng,
 };
 use mailval_smtp::reply::ReplyParser;
 use mailval_spf::record::SpfRecord;
@@ -52,152 +51,37 @@ const CORRUPT_RATES: [f64; 4] = [0.0, 0.05, 0.20, 0.50];
 /// One host in this many carries the hostile-content DNS knob.
 const HOSTILE_HOST_STRIDE: usize = 8;
 
-struct Run {
-    rate: f64,
-    sessions: usize,
-    delivered: usize,
-    rejected: usize,
-    dead: usize,
-    wall_s: f64,
-    sessions_per_s: f64,
-    phases: PhaseTimes,
-    faults: FaultStats,
-}
+/// The hostile-payload sweep: corruption changes the output.
+pub(crate) const SUITE: Suite = Suite {
+    name: "bench-hostile",
+    benchmark: "hostile_payload_sweep",
+    out: "results/BENCH_hostile.json",
+    scales: &[("1k", SCALE)],
+    rounds: 1,
+    profiles: |profiles| {
+        for (i, p) in profiles.iter_mut().enumerate() {
+            p.hostile_dns = i % HOSTILE_HOST_STRIDE == 0;
+        }
+    },
+    points: |base| CORRUPT_RATES.map(|rate| point(base, rate)).into(),
+    invariant: false,
+    extras: &[Extra::Payload],
+    header: &[],
+};
 
-/// Run the sweep, writing the JSON report to `out_path` (default
-/// `results/BENCH_hostile.json`).
-pub fn run(out_path: Option<String>) {
-    let out_path = out_path.unwrap_or_else(|| "results/BENCH_hostile.json".to_string());
-    let seed = crate::seed();
-    let shards = crate::shards();
-    let pop = Population::generate(&PopulationConfig {
-        kind: DatasetKind::NotifyEmail,
-        scale: SCALE,
-        seed,
-    });
-    let mut profiles = sample_host_profiles(&pop, seed);
-    for (i, p) in profiles.iter_mut().enumerate() {
-        p.hostile_dns = i % HOSTILE_HOST_STRIDE == 0;
+fn point(base: &CampaignConfig, rate: f64) -> Point {
+    let config = CampaignConfig {
+        payload: PayloadConfig {
+            dns_corrupt_probability: rate,
+            smtp_corrupt_probability: rate,
+            seed: base.seed,
+        },
+        ..base.clone()
+    };
+    Point {
+        axis: vec![("corrupt_rate", rate.to_string())],
+        config,
     }
-    progress!(
-        "bench-hostile: NotifyEmail, {} domains / {} hosts ({} hostile), seed {seed}, {shards} shard(s)",
-        pop.domains.len(),
-        pop.hosts.len(),
-        pop.hosts.len().div_ceil(HOSTILE_HOST_STRIDE)
-    );
-
-    let mut runs: Vec<Run> = Vec::new();
-    for rate in CORRUPT_RATES {
-        let config = CampaignConfig {
-            kind: CampaignKind::NotifyEmail,
-            tests: vec![],
-            seed,
-            probe_pause_ms: 0,
-            shards,
-            payload: PayloadConfig {
-                dns_corrupt_probability: rate,
-                smtp_corrupt_probability: rate,
-                seed,
-            },
-            ..CampaignConfig::default()
-        };
-        let start = Instant::now();
-        let result = run_campaign(&config, &pop, &profiles);
-        let wall_s = start.elapsed().as_secs_f64();
-
-        let delivered = result
-            .sessions
-            .iter()
-            .filter(|s| s.delivery_time_ms.is_some())
-            .count();
-        let rejected = result
-            .sessions
-            .iter()
-            .filter(|s| {
-                s.delivery_time_ms.is_none()
-                    && s.outcome.as_ref().is_some_and(|o| o.rejection.is_some())
-            })
-            .count();
-        let dead = result.sessions.len() - delivered - rejected;
-        let run = Run {
-            rate,
-            sessions: result.sessions.len(),
-            delivered,
-            rejected,
-            dead,
-            wall_s,
-            sessions_per_s: result.sessions.len() as f64 / wall_s,
-            phases: result.phases,
-            faults: result.faults,
-        };
-        progress!(
-            "bench-hostile: rate={:<4} {:>7.3}s wall  {:>8.0} sessions/s  \
-             delivered {} / rejected {} / dead {}  mutations dns {} smtp {}  \
-             hostile-terminated {}",
-            run.rate,
-            run.wall_s,
-            run.sessions_per_s,
-            run.delivered,
-            run.rejected,
-            run.dead,
-            run.faults.dns_payload_mutations,
-            run.faults.smtp_payload_mutations,
-            run.faults.hostile_inputs
-        );
-        runs.push(run);
-    }
-
-    let json = render_json(&pop, seed, shards, &runs);
-    std::fs::write(&out_path, &json).expect("write result file");
-    progress!("bench-hostile: wrote {out_path}");
-}
-
-fn render_json(pop: &Population, seed: u64, shards: usize, runs: &[Run]) -> String {
-    let mut s = String::new();
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"hostile_payload_sweep\",\n");
-    s.push_str(&format!("  \"cpus\": {cpus},\n"));
-    s.push_str(&format!("  \"domains\": {},\n", pop.domains.len()));
-    s.push_str(&format!("  \"hosts\": {},\n", pop.hosts.len()));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"shards\": {shards},\n"));
-    s.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let f = &r.faults;
-        s.push_str(&format!(
-            "    {{\"corrupt_rate\": {}, \"sessions\": {}, \"delivered\": {}, \
-             \"rejected\": {}, \"dead\": {}, \"wall_s\": {:.3}, \
-             \"sessions_per_s\": {:.1}, {}, \"dns_payload_mutations\": {}, \
-             \"smtp_payload_mutations\": {}, \"hostile_inputs\": {}, \
-             \"malformed\": {{{}}}}}{}\n",
-            r.rate,
-            r.sessions,
-            r.delivered,
-            r.rejected,
-            r.dead,
-            r.wall_s,
-            r.sessions_per_s,
-            super::phases_json(&r.phases),
-            f.dns_payload_mutations,
-            f.smtp_payload_mutations,
-            f.hostile_inputs,
-            render_malformed(&f.malformed),
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
-}
-
-fn render_malformed(stats: &MalformedStats) -> String {
-    stats
-        .iter()
-        .map(|(class, n)| format!("\"{}\": {n}", class.label()))
-        .collect::<Vec<_>>()
-        .join(", ")
 }
 
 // ---------------------------------------------------------------------------

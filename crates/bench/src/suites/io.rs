@@ -5,19 +5,15 @@
 //! counters and the result digest, as JSON to `results/BENCH_io.json`
 //! or the given path.
 //!
-//! The suite asserts the fault layer's core invariant while measuring
+//! The suite checks the fault layer's core invariant while measuring
 //! it: **every rate produces the same content hash**. IO faults cost
 //! durability (demoted journals, failed saves), never results, so the
-//! rate-0 row doubles as a journal-overhead baseline comparable to
-//! `bench-campaign` throughput.
+//! rate-0 row doubles as a journal-overhead baseline comparable to the
+//! `bench-perf` throughput rows.
 
-use mailval_datasets::{DatasetKind, Population, PopulationConfig};
-use mailval_measure::campaign::{
-    run_campaign, sample_host_profiles, CampaignConfig, CampaignKind, PhaseTimes,
-};
-use mailval_measure::progress;
+use super::sweep::{Extra, Point, Suite};
+use mailval_measure::campaign::CampaignConfig;
 use mailval_simnet::IoConfig;
-use std::time::Instant;
 
 /// ~1,000 of the paper's 26,695 NotifyEmail domains.
 const SCALE: f64 = 1_000.0 / 26_695.0;
@@ -25,150 +21,36 @@ const SCALE: f64 = 1_000.0 / 26_695.0;
 /// The fault-rate axis of the sweep.
 const FAULT_RATES: [f64; 4] = [0.0, 0.01, 0.05, 0.20];
 
-struct Run {
-    rate: f64,
-    sessions: usize,
-    delivered: usize,
-    queries: usize,
-    events: u64,
-    wall_s: f64,
-    sessions_per_s: f64,
-    phases: PhaseTimes,
-    shards_demoted: usize,
-    content_hash: String,
-}
+/// The storage-fault sweep: output invariant across rates.
+pub(crate) const SUITE: Suite = Suite {
+    name: "bench-io",
+    benchmark: "io_fault_sweep",
+    out: "results/BENCH_io.json",
+    scales: &[("1k", SCALE)],
+    rounds: 1,
+    profiles: |_| {},
+    points: |base| FAULT_RATES.map(|rate| point(base, rate)).into(),
+    invariant: true,
+    extras: &[Extra::ShardsDemoted],
+    header: &[],
+};
 
-fn hex(h: &[u8; 32]) -> String {
-    h.iter().map(|b| format!("{b:02x}")).collect()
-}
-
-/// Run the suite, writing the JSON report to `out_path` (default
-/// `results/BENCH_io.json`).
-pub fn run(out_path: Option<String>) {
-    let out_path = out_path.unwrap_or_else(|| "results/BENCH_io.json".to_string());
-    let seed = crate::seed();
-    let shards = crate::shards();
-    let pop = Population::generate(&PopulationConfig {
-        kind: DatasetKind::NotifyEmail,
-        scale: SCALE,
-        seed,
-    });
-    let profiles = sample_host_profiles(&pop, seed);
-    progress!(
-        "bench-io: NotifyEmail, {} domains / {} hosts, seed {seed}, {shards} shard(s)",
-        pop.domains.len(),
-        pop.hosts.len()
-    );
-
-    let journal_root =
-        std::env::temp_dir().join(format!("mailval-bench-io-{}", std::process::id()));
-    let mut runs: Vec<Run> = Vec::new();
-    for rate in FAULT_RATES {
-        let dir = journal_root.join(format!("rate-{rate}"));
-        let _ = std::fs::remove_dir_all(&dir);
-        let config = CampaignConfig {
-            kind: CampaignKind::NotifyEmail,
-            tests: vec![],
-            seed,
-            probe_pause_ms: 0,
-            shards,
-            journal_dir: Some(dir.clone()),
-            io: IoConfig {
-                short_write_probability: rate,
-                fsync_fail_probability: rate,
-                rename_fail_probability: rate,
-                read_corrupt_probability: rate,
-                seed,
-                ..IoConfig::default()
-            },
-            ..CampaignConfig::default()
-        };
-        let start = Instant::now();
-        let result = run_campaign(&config, &pop, &profiles);
-        let wall_s = start.elapsed().as_secs_f64();
-        let _ = std::fs::remove_dir_all(&dir);
-
-        let run = Run {
-            rate,
-            sessions: result.sessions.len(),
-            delivered: result
-                .sessions
-                .iter()
-                .filter(|s| s.delivery_time_ms.is_some())
-                .count(),
-            queries: result.log.records.len(),
-            events: result.events,
-            wall_s,
-            sessions_per_s: result.sessions.len() as f64 / wall_s,
-            phases: result.phases,
-            shards_demoted: result
-                .shard_stats
-                .iter()
-                .filter(|s| s.durability_lost)
-                .count(),
-            content_hash: hex(&result.content_hash()),
-        };
-        progress!(
-            "bench-io: rate={:<4} {:>7.3}s wall  {:>8.0} sessions/s  \
-             demoted {}/{} shard journal(s)  hash {}",
-            run.rate,
-            run.wall_s,
-            run.sessions_per_s,
-            run.shards_demoted,
-            result.shard_stats.len(),
-            &run.content_hash[..16]
-        );
-        runs.push(run);
+fn point(base: &CampaignConfig, rate: f64) -> Point {
+    let dir = format!("mailval-bench-io-{}-rate-{rate}", std::process::id());
+    let config = CampaignConfig {
+        journal_dir: Some(std::env::temp_dir().join(dir)),
+        io: IoConfig {
+            short_write_probability: rate,
+            fsync_fail_probability: rate,
+            rename_fail_probability: rate,
+            read_corrupt_probability: rate,
+            seed: base.seed,
+            ..IoConfig::default()
+        },
+        ..base.clone()
+    };
+    Point {
+        axis: vec![("rate", rate.to_string())],
+        config,
     }
-    let _ = std::fs::remove_dir_all(&journal_root);
-
-    // The whole point of the layer: faults shift durability, not bytes.
-    for r in &runs[1..] {
-        assert_eq!(
-            r.content_hash, runs[0].content_hash,
-            "rate {} changed the campaign output — IO faults must cost \
-             durability only",
-            r.rate
-        );
-    }
-
-    let json = render_json(&pop, seed, shards, &runs);
-    std::fs::write(&out_path, &json).expect("write result file");
-    progress!("bench-io: wrote {out_path}");
-}
-
-fn render_json(pop: &Population, seed: u64, shards: usize, runs: &[Run]) -> String {
-    let mut s = String::new();
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"io_fault_sweep\",\n");
-    s.push_str(&format!("  \"cpus\": {cpus},\n"));
-    s.push_str(&format!("  \"domains\": {},\n", pop.domains.len()));
-    s.push_str(&format!("  \"hosts\": {},\n", pop.hosts.len()));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"shards\": {shards},\n"));
-    s.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        s.push_str(&format!(
-            "    {{\"rate\": {}, \"sessions\": {}, \"delivered\": {}, \
-             \"queries_logged\": {}, \"events\": {}, \"wall_s\": {:.3}, \
-             \"sessions_per_s\": {:.1}, {}, \"shards_demoted\": {}, \
-             \"content_hash\": \"{}\"}}{}\n",
-            r.rate,
-            r.sessions,
-            r.delivered,
-            r.queries,
-            r.events,
-            r.wall_s,
-            r.sessions_per_s,
-            super::phases_json(&r.phases),
-            r.shards_demoted,
-            r.content_hash,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
 }

@@ -1,36 +1,37 @@
-//! The performance suites behind the `bench-*` CLI subcommands:
-//! campaign throughput ([`campaign`]), the chaos fault sweep
-//! ([`chaos`]), the journal-overhead budget ([`resume`]), the
-//! hostile-payload sweep plus fuzz harness ([`hostile`]), the
-//! storage-fault sweep ([`io`]), the
-//! phase-accounting perf gate ([`perf`]) and the telemetry overhead
-//! gate plus trace exporter ([`trace`]). Each bench writes a
-//! hand-rolled JSON report (offline builds have no serde) to
-//! `results/BENCH_*.json` or an explicit output path, and reports
-//! progress through the unified `[mailval]` channel.
+//! The performance suites behind the `bench-*` CLI subcommands. Each
+//! campaign suite is a `Suite` table row over the one shared sweep
+//! (`sweep`): the chaos fault sweep (`chaos`), the journal-overhead
+//! budget (`resume`), the hostile-payload sweep ([`hostile`], which
+//! also carries the fuzz harness), the storage-fault sweep (`io`), the
+//! phase-accounting perf sweep and gate (`perf`) and the telemetry
+//! overhead gate plus trace exporter ([`trace`]). Every report is
+//! written by one writer (`sweep::render`) to `results/BENCH_*.json`
+//! or an explicit output path, and progress goes through the unified
+//! `[mailval]` channel.
 
-use mailval_measure::campaign::PhaseTimes;
-
-pub mod campaign;
-pub mod chaos;
+pub(crate) mod chaos;
 pub mod hostile;
-pub mod io;
-pub mod perf;
-pub mod resume;
+pub(crate) mod io;
+pub(crate) mod perf;
+pub(crate) mod resume;
+pub(crate) mod sweep;
 pub mod trace;
 
-/// Render the shared `"phases": {...}` JSON fragment every suite
-/// embeds in its per-run rows: the per-phase wall-clock breakdown that
-/// separates simulator throughput from campaign setup (`wall_s` alone
-/// silently conflates them).
-pub(crate) fn phases_json(p: &PhaseTimes) -> String {
-    format!(
-        "\"phases\": {{\"setup_s\": {:.3}, \"simulate_s\": {:.3}, \
-         \"merge_s\": {:.3}, \"persist_s\": {:.3}, \"setup_share\": {:.3}}}",
-        p.setup_s,
-        p.simulate_s,
-        p.merge_s,
-        p.persist_s,
-        p.setup_share()
-    )
-}
+/// A subcommand's entry point, given its optional `[OUT]` argument;
+/// `false` means exit non-zero.
+pub type Command = fn(Option<String>) -> bool;
+
+/// The `bench-*` and `fuzz` subcommands, by name.
+pub const COMMANDS: &[(&str, Command)] = &[
+    ("bench-chaos", |out| sweep::run(&chaos::SUITE, out)),
+    ("bench-resume", resume::run),
+    ("bench-hostile", |out| sweep::run(&hostile::SUITE, out)),
+    ("bench-io", |out| sweep::run(&io::SUITE, out)),
+    ("bench-perf", |out| sweep::run(&perf::SUITE, out)),
+    ("bench-perf-check", perf::check),
+    ("bench-trace", trace::run),
+    ("fuzz", |frames| {
+        hostile::fuzz(frames);
+        true
+    }),
+];

@@ -7,12 +7,12 @@
 //! The robustness budget for the journal is **≤ 10% wall-clock
 //! overhead at the default fsync interval**; the report carries a
 //! `within_budget` flag per journaled run so regressions are visible
-//! in the artifact itself.
+//! in the artifact itself. Journaling must not change the output, so
+//! every configuration must produce the journal-off content hash.
 
-use mailval_datasets::{DatasetKind, Population, PopulationConfig};
-use mailval_measure::campaign::{run_campaign, sample_host_profiles, CampaignConfig, CampaignKind};
+use super::sweep::{self, Extra, Point, Suite};
+use mailval_measure::campaign::CampaignConfig;
 use mailval_measure::{journal, progress};
-use std::time::Instant;
 
 /// ~2,000 of the paper's 26,695 NotifyEmail domains.
 const SCALE: f64 = 2_000.0 / 26_695.0;
@@ -24,190 +24,81 @@ const FSYNC_SWEEP: [u64; 4] = [1, 16, 64, 256];
 const OVERHEAD_BUDGET: f64 = 0.10;
 
 /// Repetitions per configuration; the best wall-clock is reported so
-/// scheduler noise on a ~5 s run does not masquerade as overhead.
+/// scheduler noise on a sub-second run does not masquerade as overhead.
 const REPS: usize = 3;
 
-struct Run {
-    label: String,
-    fsync_every: Option<u64>,
-    sessions: usize,
-    events: u64,
-    wall_s: f64,
-    sessions_per_s: f64,
-    journal_bytes: u64,
-    overhead: Option<f64>,
-}
+/// The journal-overhead sweep: output invariant across journal on/off.
+pub(crate) const SUITE: Suite = Suite {
+    name: "bench-resume",
+    benchmark: "journal_overhead",
+    out: "results/BENCH_resume.json",
+    scales: &[("2k", SCALE)],
+    rounds: REPS,
+    profiles: |_| {},
+    points,
+    invariant: true,
+    extras: &[Extra::JournalBytes],
+    header: &[
+        ("default_fsync_every", journal::DEFAULT_FSYNC_EVERY as f64),
+        ("overhead_budget", OVERHEAD_BUDGET),
+    ],
+};
 
-/// Run the suite, writing the JSON report to `out_path` (default
-/// `results/BENCH_resume.json`).
-pub fn run(out_path: Option<String>) {
-    let out_path = out_path.unwrap_or_else(|| "results/BENCH_resume.json".to_string());
-    let seed = crate::seed();
-    let shards = crate::shards();
-    let pop = Population::generate(&PopulationConfig {
-        kind: DatasetKind::NotifyEmail,
-        scale: SCALE,
-        seed,
-    });
-    let profiles = sample_host_profiles(&pop, seed);
-    progress!(
-        "bench-resume: NotifyEmail, {} domains / {} hosts, seed {seed}, {shards} shard(s)",
-        pop.domains.len(),
-        pop.hosts.len()
-    );
-
-    let journal_dir =
-        std::env::temp_dir().join(format!("mailval-bench-resume-{}", std::process::id()));
-    let base_config = CampaignConfig {
-        kind: CampaignKind::NotifyEmail,
-        tests: vec![],
-        seed,
-        probe_pause_ms: 0,
-        shards,
-        ..CampaignConfig::default()
-    };
-
-    let mut runs: Vec<Run> = Vec::new();
-
-    // Baseline: journaling off.
-    let baseline = time_run(&base_config, &pop, &profiles, "journal off", None, None);
-    let baseline_wall = baseline.wall_s;
-    runs.push(baseline);
-
-    // Default interval first (the budgeted configuration), then the sweep.
-    let mut intervals = vec![journal::DEFAULT_FSYNC_EVERY];
-    intervals.extend(
-        FSYNC_SWEEP
-            .iter()
-            .copied()
-            .filter(|&n| n != journal::DEFAULT_FSYNC_EVERY),
-    );
-    for fsync_every in intervals {
-        let mut config = base_config.clone();
-        config.journal_dir = Some(journal_dir.clone());
-        config.fsync_every = fsync_every;
-        let label = if fsync_every == journal::DEFAULT_FSYNC_EVERY {
-            format!("journal on, fsync every {fsync_every} (default)")
-        } else {
-            format!("journal on, fsync every {fsync_every}")
-        };
-        let mut run = time_run(
-            &config,
-            &pop,
-            &profiles,
-            &label,
-            Some(fsync_every),
-            Some(&journal_dir),
-        );
-        run.overhead = Some(run.wall_s / baseline_wall - 1.0);
-        runs.push(run);
-    }
-    let _ = std::fs::remove_dir_all(&journal_dir);
-
-    let default_run = runs
-        .iter()
-        .find(|r| r.fsync_every == Some(journal::DEFAULT_FSYNC_EVERY))
-        .expect("default-interval run present");
-    let default_overhead = default_run.overhead.unwrap_or(0.0);
-    progress!(
-        "bench-resume: default-interval overhead {:.1}% (budget {:.0}%): {}",
-        default_overhead * 100.0,
-        OVERHEAD_BUDGET * 100.0,
-        if default_overhead <= OVERHEAD_BUDGET {
-            "OK"
-        } else {
-            "OVER BUDGET"
+/// Journal off first (the baseline), then the default interval (the
+/// budgeted configuration), then the rest of the sweep.
+fn points(base: &CampaignConfig) -> Vec<Point> {
+    let dir = std::env::temp_dir().join(format!("mailval-bench-resume-{}", std::process::id()));
+    let default = journal::DEFAULT_FSYNC_EVERY;
+    let mut points = vec![Point {
+        axis: vec![
+            ("label", sweep::quote("journal off")),
+            ("fsync_every", "null".into()),
+        ],
+        config: base.clone(),
+    }];
+    let intervals = FSYNC_SWEEP.into_iter().filter(|&n| n != default);
+    for fsync_every in std::iter::once(default).chain(intervals) {
+        let mut label = format!("journal on, fsync every {fsync_every}");
+        if fsync_every == default {
+            label += " (default)";
         }
-    );
-
-    let json = render_json(&pop, seed, shards, &runs);
-    std::fs::write(&out_path, &json).expect("write result file");
-    progress!("bench-resume: wrote {out_path}");
+        points.push(Point {
+            axis: vec![
+                ("label", sweep::quote(&label)),
+                ("fsync_every", fsync_every.to_string()),
+            ],
+            config: CampaignConfig {
+                journal_dir: Some(dir.clone()),
+                fsync_every,
+                ..base.clone()
+            },
+        });
+    }
+    points
 }
 
-fn time_run(
-    config: &CampaignConfig,
-    pop: &Population,
-    profiles: &[mailval_mta::profile::MtaProfile],
-    label: &str,
-    fsync_every: Option<u64>,
-    journal_dir: Option<&std::path::Path>,
-) -> Run {
-    let mut wall_s = f64::INFINITY;
-    let mut result = run_campaign(config, pop, profiles);
-    for _ in 0..REPS {
-        let start = Instant::now();
-        result = run_campaign(config, pop, profiles);
-        wall_s = wall_s.min(start.elapsed().as_secs_f64());
+/// Run the suite, adding each journaled row's `overhead` against the
+/// journal-off row and whether it is `within_budget`.
+pub(crate) fn run(out: Option<String>) -> bool {
+    let mut rows = sweep::sweep(&SUITE, SUITE.rounds);
+    let baseline_wall = rows[0].wall_s;
+    for (i, row) in rows.iter_mut().enumerate() {
+        let overhead = (i > 0).then(|| row.wall_s / baseline_wall - 1.0);
+        let overhead_json = overhead.map_or("null".into(), |o| format!("{o:.4}"));
+        let within = overhead.map_or("null".into(), |o| (o <= OVERHEAD_BUDGET).to_string());
+        row.fields.push(("overhead", overhead_json));
+        row.fields.push(("within_budget", within));
     }
-    let journal_bytes = journal_dir.map_or(0, |dir| {
-        std::fs::read_dir(dir)
-            .map(|entries| {
-                entries
-                    .filter_map(|e| e.ok())
-                    .filter_map(|e| e.metadata().ok())
-                    .map(|m| m.len())
-                    .sum()
-            })
-            .unwrap_or(0)
-    });
-    let run = Run {
-        label: label.to_string(),
-        fsync_every,
-        sessions: result.sessions.len(),
-        events: result.events,
-        wall_s,
-        sessions_per_s: result.sessions.len() as f64 / wall_s,
-        journal_bytes,
-        overhead: None,
+    let default_overhead = rows[1].wall_s / baseline_wall - 1.0;
+    let verdict = if default_overhead <= OVERHEAD_BUDGET {
+        "OK"
+    } else {
+        "OVER BUDGET"
     };
     progress!(
-        "bench-resume: {label:<36} {:>7.3}s wall  {:>8.0} sessions/s  {} journal bytes",
-        run.wall_s,
-        run.sessions_per_s,
-        run.journal_bytes
+        "bench-resume: default-interval overhead {:.1}% (budget {:.0}%): {verdict}",
+        default_overhead * 100.0,
+        OVERHEAD_BUDGET * 100.0
     );
-    run
-}
-
-fn render_json(pop: &Population, seed: u64, shards: usize, runs: &[Run]) -> String {
-    let mut s = String::new();
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    s.push_str("{\n");
-    s.push_str("  \"benchmark\": \"journal_overhead\",\n");
-    s.push_str(&format!("  \"cpus\": {cpus},\n"));
-    s.push_str(&format!("  \"domains\": {},\n", pop.domains.len()));
-    s.push_str(&format!("  \"hosts\": {},\n", pop.hosts.len()));
-    s.push_str(&format!("  \"seed\": {seed},\n"));
-    s.push_str(&format!("  \"shards\": {shards},\n"));
-    s.push_str(&format!(
-        "  \"default_fsync_every\": {},\n",
-        journal::DEFAULT_FSYNC_EVERY
-    ));
-    s.push_str(&format!("  \"overhead_budget\": {OVERHEAD_BUDGET},\n"));
-    s.push_str("  \"runs\": [\n");
-    for (i, r) in runs.iter().enumerate() {
-        let fsync = r.fsync_every.map_or("null".to_string(), |n| n.to_string());
-        let overhead = r.overhead.map_or("null".to_string(), |o| format!("{o:.4}"));
-        let within = r
-            .overhead
-            .map_or("null".to_string(), |o| (o <= OVERHEAD_BUDGET).to_string());
-        s.push_str(&format!(
-            "    {{\"label\": \"{}\", \"fsync_every\": {fsync}, \
-             \"sessions\": {}, \"events\": {}, \"wall_s\": {:.3}, \
-             \"sessions_per_s\": {:.1}, \"journal_bytes\": {}, \
-             \"overhead\": {overhead}, \"within_budget\": {within}}}{}\n",
-            r.label,
-            r.sessions,
-            r.events,
-            r.wall_s,
-            r.sessions_per_s,
-            r.journal_bytes,
-            if i + 1 == runs.len() { "" } else { "," }
-        ));
-    }
-    s.push_str("  ]\n}\n");
-    s
+    sweep::finish(&SUITE, out, Vec::new(), &rows)
 }

@@ -15,13 +15,11 @@
 //! JSON (Perfetto-loadable) or the metrics-summary JSON, with
 //! session/shard filters.
 
+use super::sweep::{self, Extra, Row, Suite};
 use mailval_datasets::DatasetKind;
-use mailval_measure::campaign::{
-    run_campaign, CampaignConfig, CampaignKind, CampaignResult, TelemetryConfig,
-};
+use mailval_measure::campaign::{run_campaign, CampaignConfig, CampaignKind, TelemetryConfig};
 use mailval_measure::progress;
 use mailval_measure::telemetry::{chrome_trace_json, metrics_json, TraceFilter};
-use std::time::Instant;
 
 /// Measurement rounds per mode; the best round is scored (the gate
 /// compares steady-state engine cost, not scheduler noise).
@@ -41,194 +39,117 @@ const BASELINE_SHARDS: usize = 1;
 /// axis point, verbatim).
 const SCALE: f64 = 2_000.0 / 26_695.0;
 
-/// The campaign under measurement: `bench-perf`'s configuration with
-/// only the telemetry knob varied.
-fn config(seed: u64, tracing: bool) -> CampaignConfig {
-    CampaignConfig {
-        kind: CampaignKind::NotifyEmail,
-        tests: vec![],
-        seed,
-        probe_pause_ms: 15_000,
-        shards: BASELINE_SHARDS,
-        telemetry: TelemetryConfig {
-            tracing,
-            heartbeat_ms: 0,
-        },
-        ..CampaignConfig::default()
-    }
-}
-
-struct Measured {
-    sessions: usize,
-    best_wall_s: f64,
-    sessions_per_s: f64,
-    result: CampaignResult,
-}
-
-/// Run the campaign [`MEASURE_ROUNDS`] times; keep the fastest wall
-/// clock and the last result (all rounds produce identical results).
-fn measure(seed: u64, tracing: bool) -> Measured {
-    let prepared = crate::prepare_with(
-        &crate::Env {
-            scale: SCALE,
-            seed,
-            shards: BASELINE_SHARDS,
-        },
-        DatasetKind::NotifyEmail,
-    );
-    let cfg = config(seed, tracing);
-    let mut best_wall_s = f64::INFINITY;
-    let mut last = None;
-    for round in 0..MEASURE_ROUNDS {
-        let start = Instant::now();
-        let result = run_campaign(&cfg, &prepared.pop, &prepared.profiles);
-        let wall_s = start.elapsed().as_secs_f64();
-        progress!(
-            "bench-trace: tracing={} round {}/{MEASURE_ROUNDS}: {:.3}s wall",
-            if tracing { "on" } else { "off" },
-            round + 1,
-            wall_s
-        );
-        best_wall_s = best_wall_s.min(wall_s);
-        last = Some(result);
-    }
-    let result = last.expect("at least one round");
-    Measured {
-        sessions: result.sessions.len(),
-        best_wall_s,
-        sessions_per_s: result.sessions.len() as f64 / best_wall_s,
-        result,
-    }
-}
-
-/// The baseline `sessions_per_s` for the matching `(scale, shards)`
-/// row of the committed `BENCH_perf.json`.
-fn baseline_sessions_per_s(json: &str) -> Option<f64> {
-    json.lines().find_map(|line| {
-        let scale = super::perf::str_field(line, "scale")?;
-        let shards = super::perf::num_field(line, "shards")? as usize;
-        if scale == BASELINE_SCALE && shards == BASELINE_SHARDS {
-            super::perf::num_field(line, "sessions_per_s")
-        } else {
-            None
-        }
-    })
-}
+/// `bench-perf`'s 2k/shards=1 campaign with the tracer off, then on;
+/// tracing must not change the output.
+const SUITE: Suite = Suite {
+    name: "bench-trace",
+    benchmark: "trace_overhead",
+    out: "results/BENCH_trace.json",
+    scales: &[(BASELINE_SCALE, SCALE)],
+    rounds: MEASURE_ROUNDS,
+    profiles: |_| {},
+    points: |base| {
+        [("off", false), ("on", true)]
+            .map(|(mode, tracing)| {
+                let mut point = super::perf::point(base, BASELINE_SHARDS);
+                point.axis.push(("mode", sweep::quote(mode)));
+                point.config.telemetry = TelemetryConfig {
+                    tracing,
+                    heartbeat_ms: 0,
+                };
+                point
+            })
+            .into()
+    },
+    invariant: true,
+    extras: &[Extra::TraceEvents],
+    header: &[
+        ("max_off_overhead", MAX_OFF_OVERHEAD),
+        ("max_on_overhead", MAX_ON_OVERHEAD),
+    ],
+};
 
 /// Run the overhead gate, writing the JSON report to `out_path`
 /// (default `results/BENCH_trace.json`). Returns `false` on any
 /// overhead or determinism violation (the `verify.sh --trace` stage).
 /// Verdicts go to stdout, not the `[mailval]` progress channel, so
 /// `MAILVAL_QUIET` never hides why the gate failed.
-pub fn run(out_path: Option<String>) -> bool {
-    let out_path = out_path.unwrap_or_else(|| "results/BENCH_trace.json".to_string());
+pub(crate) fn run(out_path: Option<String>) -> bool {
     let baseline_path = "results/BENCH_perf.json";
-    let baseline = match std::fs::read_to_string(baseline_path) {
-        Ok(s) => s,
-        Err(e) => {
-            println!("bench-trace: cannot read baseline {baseline_path}: {e}");
-            return false;
-        }
+    let Some(baseline) = sweep::read_baseline(SUITE.name, baseline_path) else {
+        return false;
     };
-    let Some(base_sps) = baseline_sessions_per_s(&baseline) else {
+    let Some(base_sps) = sweep::baseline_sessions_per_s(&baseline, BASELINE_SCALE, BASELINE_SHARDS)
+    else {
         println!(
             "bench-trace: no {BASELINE_SCALE}/shards={BASELINE_SHARDS} row in {baseline_path}"
         );
         return false;
     };
 
-    let seed = crate::seed();
-    let off = measure(seed, false);
-    let on = measure(seed, true);
-
-    // The telemetry invariant, asserted at the strongest point: a
+    let mut rows = sweep::sweep(&SUITE, MEASURE_ROUNDS);
+    // The telemetry invariant, checked at the strongest point: a
     // traced run's deterministic output is byte-identical to an
     // untraced run's.
-    let hash_matches = off.result.content_hash() == on.result.content_hash();
-    let trace_events = on
-        .result
-        .telemetry
-        .as_ref()
-        .map(|t| t.events.len())
-        .unwrap_or(0);
-
-    let off_overhead = 1.0 - off.sessions_per_s / base_sps;
-    let on_overhead = 1.0 - on.sessions_per_s / base_sps;
+    let hash_matches = sweep::invariance_failures(&SUITE, &rows).is_empty();
+    let trace_events = sweep::num(&rows[1].fields, "trace_events").unwrap_or(0.0);
+    let overhead = |row: &Row| 1.0 - row.sessions_per_s() / base_sps;
+    let (off, on) = (overhead(&rows[0]), overhead(&rows[1]));
+    for row in &mut rows {
+        // Every row's `wall_s` is a best-of-rounds figure; the gate's
+        // report has always named it `best_wall_s` too.
+        row.fields
+            .push(("best_wall_s", format!("{:.3}", row.wall_s)));
+        let overhead = format!("{:.4}", overhead(row));
+        row.fields.push(("overhead_vs_baseline", overhead));
+    }
     progress!(
         "bench-trace: baseline {base_sps:.0} sessions/s; off {:.0} ({:+.1}% overhead), \
          on {:.0} ({:+.1}% overhead), {trace_events} events traced",
-        off.sessions_per_s,
-        off_overhead * 100.0,
-        on.sessions_per_s,
-        on_overhead * 100.0
+        rows[0].sessions_per_s(),
+        off * 100.0,
+        rows[1].sessions_per_s(),
+        on * 100.0
     );
 
-    let mut ok = true;
+    let mut failures = Vec::new();
     if !hash_matches {
-        println!("bench-trace: FAIL content hash of traced run differs from untraced run");
-        ok = false;
+        failures.push("content hash of traced run differs from untraced run".to_string());
     }
-    if trace_events == 0 {
-        println!("bench-trace: FAIL traced run recorded no events");
-        ok = false;
+    if trace_events == 0.0 {
+        failures.push("traced run recorded no events".to_string());
     }
-    if off_overhead > MAX_OFF_OVERHEAD {
-        println!(
-            "bench-trace: FAIL tracing-off overhead {:.1}% > {:.0}%",
-            off_overhead * 100.0,
-            MAX_OFF_OVERHEAD * 100.0
-        );
-        ok = false;
+    for (mode, overhead, max) in [("off", off, MAX_OFF_OVERHEAD), ("on", on, MAX_ON_OVERHEAD)] {
+        if overhead > max {
+            let (overhead, max) = (overhead * 100.0, max * 100.0);
+            failures.push(format!(
+                "tracing-{mode} overhead {overhead:.1}% > {max:.0}%"
+            ));
+        }
     }
-    if on_overhead > MAX_ON_OVERHEAD {
-        println!(
-            "bench-trace: FAIL tracing-on overhead {:.1}% > {:.0}%",
-            on_overhead * 100.0,
-            MAX_ON_OVERHEAD * 100.0
-        );
-        ok = false;
-    }
+    let ok = sweep::verdicts(
+        failures
+            .iter()
+            .map(|f| format!("bench-trace: FAIL {f}"))
+            .collect(),
+    );
 
-    let json = render_json(seed, base_sps, &off, &on, trace_events, hash_matches);
-    std::fs::write(&out_path, &json).expect("write result file");
-    progress!("bench-trace: wrote {out_path}");
+    let baseline = [
+        ("scale", sweep::quote(BASELINE_SCALE)),
+        ("shards", BASELINE_SHARDS.to_string()),
+        ("sessions_per_s", format!("{base_sps:.1}")),
+    ];
+    let header = vec![
+        ("baseline", sweep::obj(&baseline)),
+        ("hash_matches_untraced", hash_matches.to_string()),
+    ];
+    let out = out_path.unwrap_or_else(|| SUITE.out.to_string());
+    std::fs::write(&out, sweep::render(&SUITE, header, &rows)).expect("write result file");
+    progress!("bench-trace: wrote {out}");
     if ok {
         println!("bench-trace: check passed");
     }
     ok
-}
-
-fn render_json(
-    seed: u64,
-    base_sps: f64,
-    off: &Measured,
-    on: &Measured,
-    trace_events: usize,
-    hash_matches: bool,
-) -> String {
-    let cpus = std::thread::available_parallelism()
-        .map(|n| n.get())
-        .unwrap_or(1);
-    let row = |mode: &str, m: &Measured, extra: &str| {
-        format!(
-            "    {{\"mode\": \"{mode}\", \"rounds\": {MEASURE_ROUNDS}, \"sessions\": {}, \
-             \"best_wall_s\": {:.3}, \"sessions_per_s\": {:.1}, \
-             \"overhead_vs_baseline\": {:.4}{extra}}}",
-            m.sessions,
-            m.best_wall_s,
-            m.sessions_per_s,
-            1.0 - m.sessions_per_s / base_sps
-        )
-    };
-    format!(
-        "{{\n  \"benchmark\": \"trace_overhead\",\n  \"cpus\": {cpus},\n  \"seed\": {seed},\n  \
-         \"baseline\": {{\"scale\": \"{BASELINE_SCALE}\", \"shards\": {BASELINE_SHARDS}, \
-         \"sessions_per_s\": {base_sps:.1}}},\n  \
-         \"max_off_overhead\": {MAX_OFF_OVERHEAD},\n  \"max_on_overhead\": {MAX_ON_OVERHEAD},\n  \
-         \"hash_matches_untraced\": {hash_matches},\n  \"runs\": [\n{},\n{}\n  ]\n}}\n",
-        row("off", off, ""),
-        row("on", on, &format!(", \"trace_events\": {trace_events}")),
-    )
 }
 
 /// The `mailval-artifacts trace` subcommand: simulate the NotifyEmail
@@ -326,18 +247,4 @@ pub fn export(args: &[String]) -> bool {
         None => print!("{doc}"),
     }
     true
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn baseline_row_is_found() {
-        let json = "\
-{\n  \"runs\": [\n    {\"scale\": \"2k\", \"shards\": 1, \"sessions_per_s\": 1234.5},\n    \
-{\"scale\": \"2k\", \"shards\": 2, \"sessions_per_s\": 2000.0}\n  ]\n}\n";
-        assert_eq!(baseline_sessions_per_s(json), Some(1234.5));
-        assert_eq!(baseline_sessions_per_s("{}"), None);
-    }
 }

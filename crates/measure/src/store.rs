@@ -44,6 +44,7 @@
 
 use crate::apparatus::QueryLog;
 use crate::campaign::{CampaignConfig, CampaignKind, CampaignResult};
+use crate::engine::{MemoryBudget, SessionBudget};
 use crate::journal::{self, crc32, Dec, Enc, FrameError};
 use crate::shard::ShardStats;
 use crate::vfs::{OsFs, Vfs};
@@ -100,31 +101,61 @@ impl KeySpec<'_> {
     /// Compute the content-addressed key for this spec.
     ///
     /// Durability-only knobs (`journal_dir`, `resume`, `fsync_every`,
-    /// `supervisor`) are deliberately excluded: they cannot change a
-    /// completed campaign's output, only how it survives crashes.
+    /// `supervisor`) and `telemetry` are deliberately excluded: they
+    /// cannot change a completed campaign's output, only how it survives
+    /// crashes or what it reports about itself.
     /// Everything else — including the shard count and the IO fault
     /// plan, which are output-invariant by construction but cheap to
     /// key on — is hashed, so changing any knob forces a re-run.
     pub fn key(&self) -> CampaignKey {
-        let c = self.config;
+        // No `..`: a new knob fails to compile here until it is keyed or
+        // excluded on purpose.
+        let CampaignConfig {
+            kind,
+            tests,
+            seed,
+            probe_pause_ms,
+            latency,
+            faults,
+            payload,
+            io,
+            shards,
+            budget:
+                SessionBudget {
+                    max_virtual_ms,
+                    max_events,
+                },
+            memory:
+                MemoryBudget {
+                    max_session_bytes,
+                    max_pending_events,
+                },
+            // Durability: changes how a run survives crashes, not its output.
+            journal_dir: _,
+            resume: _,
+            fsync_every: _,
+            supervisor: _,
+            // Observability: never result-determining.
+            telemetry: _,
+        } = self.config;
         let mut enc = Enc::default();
         enc.0.extend_from_slice(KEY_DOMAIN);
-        enc.u8(kind_tag(c.kind));
-        enc.size(c.tests.len());
-        for t in &c.tests {
+        enc.u8(kind_tag(*kind));
+        enc.size(tests.len());
+        for t in tests {
             enc.str(t);
         }
-        enc.u64(c.seed);
-        enc.u64(c.probe_pause_ms);
-        put_latency(&mut enc, &c.latency);
-        put_fault_config(&mut enc, &c.faults);
-        put_payload_config(&mut enc, &c.payload);
-        put_io_config(&mut enc, &c.io);
-        enc.size(c.shards);
-        enc.u64(c.budget.max_virtual_ms);
-        enc.u64(c.budget.max_events);
-        enc.u64(c.memory.max_session_bytes);
-        enc.u64(c.memory.max_pending_events);
+        enc.u64(*seed);
+        enc.u64(*probe_pause_ms);
+        put_latency(&mut enc, latency);
+        put_fault_config(&mut enc, faults);
+        put_payload_config(&mut enc, payload);
+        put_io_config(&mut enc, io);
+        enc.size(*shards);
+        enc.u64(*max_virtual_ms);
+        enc.u64(*max_events);
+        enc.u64(*max_session_bytes);
+        enc.u64(*max_pending_events);
         enc.str(self.dataset);
         enc.f64(self.scale);
         enc.u64(self.population_seed);
@@ -134,11 +165,11 @@ impl KeySpec<'_> {
             label: format!(
                 "{}/{:?}/tests={}/profiles={}",
                 self.dataset,
-                c.kind,
-                if c.tests.is_empty() {
+                kind,
+                if tests.is_empty() {
                     "-".to_string()
                 } else {
-                    c.tests.join("+")
+                    tests.join("+")
                 },
                 self.profiles
             ),
@@ -155,37 +186,67 @@ fn kind_tag(kind: CampaignKind) -> u8 {
 }
 
 fn put_latency(enc: &mut Enc, l: &LatencyModel) {
-    enc.u64(l.base_one_way_ms);
-    enc.u64(l.spread_ms);
-    enc.f64(l.loss_probability);
-    enc.u64(l.seed);
+    let LatencyModel {
+        base_one_way_ms,
+        spread_ms,
+        loss_probability,
+        seed,
+    } = l;
+    enc.u64(*base_one_way_ms);
+    enc.u64(*spread_ms);
+    enc.f64(*loss_probability);
+    enc.u64(*seed);
 }
 
 fn put_payload_config(enc: &mut Enc, p: &PayloadConfig) {
-    enc.f64(p.dns_corrupt_probability);
-    enc.f64(p.smtp_corrupt_probability);
-    enc.u64(p.seed);
+    let PayloadConfig {
+        dns_corrupt_probability,
+        smtp_corrupt_probability,
+        seed,
+    } = p;
+    enc.f64(*dns_corrupt_probability);
+    enc.f64(*smtp_corrupt_probability);
+    enc.u64(*seed);
 }
 
 fn put_io_config(enc: &mut Enc, io: &IoConfig) {
-    enc.u64(io.enospc_after_bytes);
-    enc.f64(io.short_write_probability);
-    enc.f64(io.fsync_fail_probability);
-    enc.f64(io.rename_fail_probability);
-    enc.f64(io.read_corrupt_probability);
-    enc.u64(io.seed);
+    let IoConfig {
+        enospc_after_bytes,
+        short_write_probability,
+        fsync_fail_probability,
+        rename_fail_probability,
+        read_corrupt_probability,
+        seed,
+    } = io;
+    enc.u64(*enospc_after_bytes);
+    enc.f64(*short_write_probability);
+    enc.f64(*fsync_fail_probability);
+    enc.f64(*rename_fail_probability);
+    enc.f64(*read_corrupt_probability);
+    enc.u64(*seed);
 }
 
 fn put_fault_config(enc: &mut Enc, f: &FaultConfig) {
-    enc.f64(f.duplicate_probability);
-    enc.f64(f.reorder_probability);
-    enc.u64(f.reorder_delay_ms);
-    enc.f64(f.truncate_probability);
-    enc.f64(f.conn_reset_probability);
-    enc.f64(f.conn_stall_probability);
-    enc.u64(f.conn_stall_ms);
-    enc.u64(f.seed);
-    enc.u64(f.crash_after_sessions);
+    let FaultConfig {
+        duplicate_probability,
+        reorder_probability,
+        reorder_delay_ms,
+        truncate_probability,
+        conn_reset_probability,
+        conn_stall_probability,
+        conn_stall_ms,
+        seed,
+        crash_after_sessions,
+    } = f;
+    enc.f64(*duplicate_probability);
+    enc.f64(*reorder_probability);
+    enc.u64(*reorder_delay_ms);
+    enc.f64(*truncate_probability);
+    enc.f64(*conn_reset_probability);
+    enc.f64(*conn_stall_probability);
+    enc.u64(*conn_stall_ms);
+    enc.u64(*seed);
+    enc.u64(*crash_after_sessions);
 }
 
 /// A campaign's content-addressed identity.

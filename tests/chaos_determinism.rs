@@ -6,9 +6,12 @@
 //! identifiers instead of drawing from an event-ordered RNG, so the
 //! injected faults themselves are part of the deterministic output.
 
+mod common;
+
+use common::assert_identical;
 use mailval::datasets::{DatasetKind, Population, PopulationConfig};
 use mailval::measure::campaign::{
-    run_campaign, sample_host_profiles, CampaignConfig, CampaignKind, CampaignResult,
+    run_campaign, sample_host_profiles, CampaignConfig, CampaignKind,
 };
 use mailval::mta::profile::MtaProfile;
 use mailval::simnet::{FaultConfig, LatencyModel};
@@ -80,22 +83,6 @@ fn solo_first_host(pop: &Population) -> Option<usize> {
     first_host_uses.iter().position(|&n| n == 1)
 }
 
-fn assert_identical(a: &CampaignResult, b: &CampaignResult, shards: usize) {
-    assert_eq!(a.events, b.events, "event counts differ (shards={shards})");
-    assert_eq!(
-        a.faults, b.faults,
-        "fault counters differ (shards={shards})"
-    );
-    assert_eq!(a.log.records.len(), b.log.records.len(), "shards={shards}");
-    for (x, y) in a.log.records.iter().zip(&b.log.records) {
-        assert_eq!(x, y, "query log diverged (shards={shards})");
-    }
-    assert_eq!(a.sessions.len(), b.sessions.len(), "shards={shards}");
-    for (x, y) in a.sessions.iter().zip(&b.sessions) {
-        assert_eq!(x, y, "session records diverged (shards={shards})");
-    }
-}
-
 #[test]
 fn chaos_campaign_is_byte_identical_across_shard_counts() {
     let (pop, profiles) = chaos_fixture();
@@ -129,7 +116,7 @@ fn chaos_campaign_is_byte_identical_across_shard_counts() {
 
     for shards in [2, 4, 8] {
         let sharded = run_campaign(&chaos_config(shards), &pop, &profiles);
-        assert_identical(&single, &sharded, shards);
+        assert_identical(&single, &sharded, &format!("shards={shards}"));
     }
 }
 

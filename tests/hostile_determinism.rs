@@ -9,15 +9,17 @@
 //! by the parser that refuses the input, so the hostile traffic itself
 //! is part of the deterministic output.
 
+mod common;
+
+use common::{assert_identical, scratch_dir};
 use mailval::datasets::{DatasetKind, Population, PopulationConfig};
 use mailval::measure::campaign::{
-    run_campaign, sample_host_profiles, CampaignConfig, CampaignKind, CampaignResult,
+    run_campaign, sample_host_profiles, CampaignConfig, CampaignKind,
 };
 use mailval::measure::engine::SessionOutcome;
 use mailval::measure::store::{CampaignStore, KeySpec};
 use mailval::mta::profile::MtaProfile;
 use mailval::simnet::{MalformedClass, PayloadConfig};
-use std::path::PathBuf;
 
 /// Corruption hot enough that every mutation family fires, cold enough
 /// that most sessions still complete a dialogue.
@@ -56,25 +58,6 @@ fn hostile_fixture() -> (Population, Vec<MtaProfile>) {
         }
     }
     (pop, profiles)
-}
-
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mailval-hostile-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn assert_identical(a: &CampaignResult, b: &CampaignResult, label: &str) {
-    assert_eq!(a.events, b.events, "event counts differ ({label})");
-    assert_eq!(a.faults, b.faults, "fault counters differ ({label})");
-    assert_eq!(a.log.records.len(), b.log.records.len(), "{label}");
-    for (x, y) in a.log.records.iter().zip(&b.log.records) {
-        assert_eq!(x, y, "query log diverged ({label})");
-    }
-    assert_eq!(a.sessions.len(), b.sessions.len(), "{label}");
-    for (x, y) in a.sessions.iter().zip(&b.sessions) {
-        assert_eq!(x, y, "session records diverged ({label})");
-    }
 }
 
 #[test]
@@ -148,7 +131,7 @@ fn hostile_kill_and_resume_is_byte_identical() {
     assert!(clean.faults.dns_payload_mutations > 0, "payload plan inert");
 
     for shards in [1, 2, 4] {
-        let dir = scratch_dir(&format!("kill-{shards}"));
+        let dir = scratch_dir("hostile", &format!("kill-{shards}"));
         let mut config = hostile_config(shards);
         config.journal_dir = Some(dir.clone());
         config.faults.crash_after_sessions = 4;
@@ -182,7 +165,7 @@ fn hostile_campaign_roundtrips_through_store_and_knobs_key_it() {
         }
         .key()
     };
-    let dir = scratch_dir("store");
+    let dir = scratch_dir("hostile", "store");
     let store = CampaignStore::new(dir.clone());
     let key = spec(&config);
     store.save(&key, &result).expect("save hostile campaign");

@@ -11,10 +11,12 @@
 //! sessions terminate as `ResourceShed`), and its decisions are
 //! shard- and resume-invariant.
 
+mod common;
+
+use common::{assert_identical, scratch_dir};
 use mailval::datasets::{DatasetKind, Population, PopulationConfig};
 use mailval::measure::campaign::{
-    run_campaign, sample_host_profiles, CampaignConfig, CampaignKind, CampaignResult,
-    SupervisorConfig,
+    run_campaign, sample_host_profiles, CampaignConfig, CampaignKind, SupervisorConfig,
 };
 use mailval::measure::engine::{MemoryBudget, SessionOutcome};
 use mailval::measure::store::{CampaignStore, KeySpec, StoreError};
@@ -22,7 +24,6 @@ use mailval::measure::vfs::SimFs;
 use mailval::measure::{journal, vfs};
 use mailval::mta::profile::MtaProfile;
 use mailval::simnet::{IoConfig, IoPlan};
-use std::path::PathBuf;
 use std::sync::Arc;
 
 fn tiny_pop(seed: u64) -> Population {
@@ -57,28 +58,10 @@ fn hostile_io() -> IoConfig {
     }
 }
 
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mailval-io-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
 fn fixture(seed: u64) -> (Population, Vec<MtaProfile>) {
     let pop = tiny_pop(seed);
     let profiles = sample_host_profiles(&pop, seed);
     (pop, profiles)
-}
-
-fn assert_identical(a: &CampaignResult, b: &CampaignResult, label: &str) {
-    assert_eq!(a.events, b.events, "event counts differ ({label})");
-    assert_eq!(a.faults, b.faults, "fault counters differ ({label})");
-    assert_eq!(a.sessions, b.sessions, "session records diverged ({label})");
-    assert_eq!(a.log.records, b.log.records, "query log diverged ({label})");
-    assert_eq!(
-        a.content_hash(),
-        b.content_hash(),
-        "content hashes differ ({label})"
-    );
 }
 
 #[test]
@@ -89,7 +72,7 @@ fn hostile_io_plan_never_changes_the_merged_output() {
     assert!(clean.sessions.len() > 40, "fixture too small");
 
     for shards in [1usize, 2, 4, 8] {
-        let dir = scratch_dir(&format!("hostile-{shards}"));
+        let dir = scratch_dir("io", &format!("hostile-{shards}"));
         let mut config = base_config(shards);
         config.journal_dir = Some(dir.clone());
         config.io = hostile_io();
@@ -109,7 +92,7 @@ fn hostile_io_plan_never_changes_the_merged_output() {
 #[test]
 fn enospc_mid_frame_salvages_the_exact_journal_prefix() {
     let (pop, profiles) = fixture(79);
-    let dir = scratch_dir("salvage");
+    let dir = scratch_dir("io", "salvage");
     let mut config = base_config(2);
     config.journal_dir = Some(dir.clone());
     config.io = IoConfig {
@@ -155,7 +138,7 @@ fn enospc_mid_frame_salvages_the_exact_journal_prefix() {
 fn kill_and_resume_under_io_faults_is_byte_identical() {
     let (pop, profiles) = fixture(83);
     let clean = run_campaign(&base_config(2), &pop, &profiles);
-    let dir = scratch_dir("resume");
+    let dir = scratch_dir("io", "resume");
 
     // Phase 1: shards crash after 5 completed sessions with a zero
     // restart budget, on a disk that fails fsyncs and corrupts reads.
@@ -205,7 +188,7 @@ fn failed_store_rename_degrades_to_a_clean_miss_without_residue() {
     let (pop, profiles) = fixture(89);
     let config = base_config(1);
     let result = run_campaign(&config, &pop, &profiles);
-    let root = scratch_dir("store-rename");
+    let root = scratch_dir("io", "store-rename");
     let store = CampaignStore::new_with_vfs(
         root.clone(),
         Arc::new(SimFs::new(IoPlan::new(IoConfig {
@@ -253,8 +236,8 @@ fn zero_rate_io_config_is_provably_inert() {
     // golden_determinism.rs cover the default config at full depth;
     // this pins the SimFs-vs-OsFs seam itself).
     let (pop, profiles) = fixture(97);
-    let dir_os = scratch_dir("inert-os");
-    let dir_sim = scratch_dir("inert-sim");
+    let dir_os = scratch_dir("io", "inert-os");
+    let dir_sim = scratch_dir("io", "inert-sim");
     let mut on_os = base_config(2);
     on_os.journal_dir = Some(dir_os.clone());
     let mut on_sim = on_os.clone();
@@ -332,7 +315,7 @@ fn memory_backpressure_survives_kill_and_resume() {
     let clean = run_campaign(&make(), &pop, &profiles);
     assert!(clean.faults.resource_shed > 0, "budget inert in fixture");
 
-    let dir = scratch_dir("memory-resume");
+    let dir = scratch_dir("io", "memory-resume");
     let mut config = make();
     config.journal_dir = Some(dir.clone());
     config.faults.crash_after_sessions = 4;

@@ -5,14 +5,15 @@
 //! chaos fault plan — and a journal with a corrupted tail must lose
 //! only the torn frames, not the campaign.
 
+mod common;
+
+use common::{assert_identical, scratch_dir};
 use mailval::datasets::{DatasetKind, Population, PopulationConfig};
 use mailval::measure::campaign::{
-    run_campaign, sample_host_profiles, CampaignConfig, CampaignKind, CampaignResult,
-    SupervisorConfig,
+    run_campaign, sample_host_profiles, CampaignConfig, CampaignKind, SupervisorConfig,
 };
 use mailval::measure::engine::{SessionBudget, SessionOutcome};
 use mailval::simnet::{FaultConfig, LatencyModel};
-use std::path::PathBuf;
 
 fn tiny_pop(seed: u64) -> Population {
     Population::generate(&PopulationConfig {
@@ -48,26 +49,6 @@ fn chaos_faults() -> FaultConfig {
     }
 }
 
-/// A scratch journal directory unique to this process and test.
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mailval-resume-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
-}
-
-fn assert_identical(a: &CampaignResult, b: &CampaignResult, label: &str) {
-    assert_eq!(a.events, b.events, "event counts differ ({label})");
-    assert_eq!(a.faults, b.faults, "fault counters differ ({label})");
-    assert_eq!(a.log.records.len(), b.log.records.len(), "{label}");
-    for (x, y) in a.log.records.iter().zip(&b.log.records) {
-        assert_eq!(x, y, "query log diverged ({label})");
-    }
-    assert_eq!(a.sessions.len(), b.sessions.len(), "{label}");
-    for (x, y) in a.sessions.iter().zip(&b.sessions) {
-        assert_eq!(x, y, "session records diverged ({label})");
-    }
-}
-
 #[test]
 fn kill_and_resume_is_byte_identical() {
     let pop = tiny_pop(47);
@@ -77,7 +58,7 @@ fn kill_and_resume_is_byte_identical() {
     assert!(clean.sessions.len() > 40, "fixture too small to crash");
 
     for shards in [1, 2, 4, 8] {
-        let dir = scratch_dir(&format!("kill-{shards}"));
+        let dir = scratch_dir("resume", &format!("kill-{shards}"));
         let mut config = base_config(shards);
         config.journal_dir = Some(dir.clone());
         // Every shard dies right after durably journaling its 5th
@@ -123,7 +104,7 @@ fn kill_and_resume_is_byte_identical_under_chaos() {
     assert!(clean.faults.tempfails > 0, "greylisting inert");
 
     for shards in [1, 2, 4, 8] {
-        let dir = scratch_dir(&format!("chaos-{shards}"));
+        let dir = scratch_dir("resume", &format!("chaos-{shards}"));
         let mut config = make(shards);
         config.journal_dir = Some(dir.clone());
         config.faults.crash_after_sessions = 4;
@@ -142,7 +123,7 @@ fn partial_finalize_then_explicit_resume_completes() {
     let pop = tiny_pop(59);
     let profiles = sample_host_profiles(&pop, 59);
     let clean = run_campaign(&base_config(2), &pop, &profiles);
-    let dir = scratch_dir("two-phase");
+    let dir = scratch_dir("resume", "two-phase");
 
     let mut crashed = base_config(2);
     crashed.journal_dir = Some(dir.clone());
@@ -186,7 +167,7 @@ fn corrupt_journal_tail_is_rerun_not_fatal() {
     let pop = tiny_pop(61);
     let profiles = sample_host_profiles(&pop, 61);
     let clean = run_campaign(&base_config(2), &pop, &profiles);
-    let dir = scratch_dir("corrupt");
+    let dir = scratch_dir("resume", "corrupt");
 
     // Build journals holding a prefix of each shard, then mangle them.
     let mut crashed = base_config(2);

@@ -3,6 +3,9 @@
 //! (same records, same order), the same session records, and therefore
 //! the same analysis tables as the single-threaded `shards = 1` run.
 
+mod common;
+
+use common::assert_identical;
 use mailval::datasets::{DatasetKind, Population, PopulationConfig};
 use mailval::measure::analysis::{notify_email_flags, probe_validating_counts, table4};
 use mailval::measure::campaign::{
@@ -33,18 +36,6 @@ fn run(
     )
 }
 
-fn assert_identical(a: &CampaignResult, b: &CampaignResult) {
-    assert_eq!(a.events, b.events, "event counts differ");
-    assert_eq!(a.log.records.len(), b.log.records.len());
-    for (x, y) in a.log.records.iter().zip(&b.log.records) {
-        assert_eq!(x, y, "query log diverged");
-    }
-    assert_eq!(a.sessions.len(), b.sessions.len());
-    for (x, y) in a.sessions.iter().zip(&b.sessions) {
-        assert_eq!(x, y, "session records diverged");
-    }
-}
-
 #[test]
 fn four_shard_notify_email_is_byte_identical_and_tables_match() {
     let pop = Population::generate(&PopulationConfig {
@@ -55,7 +46,7 @@ fn four_shard_notify_email_is_byte_identical_and_tables_match() {
     let single = run(CampaignKind::NotifyEmail, vec![], 1, &pop);
     let sharded = run(CampaignKind::NotifyEmail, vec![], 4, &pop);
     assert_eq!(sharded.shard_stats.len(), 4);
-    assert_identical(&single, &sharded);
+    assert_identical(&single, &sharded, "shards=4");
 
     // Table 4 is a pure function of the merged output, so it has to
     // agree row by row.
@@ -74,7 +65,7 @@ fn four_shard_probe_campaign_matches_table5_counts() {
     });
     let single = run(CampaignKind::NotifyMx, vec!["t01", "t12"], 1, &pop);
     let sharded = run(CampaignKind::NotifyMx, vec!["t01", "t12"], 4, &pop);
-    assert_identical(&single, &sharded);
+    assert_identical(&single, &sharded, "shards=4");
 
     // Table 5 (validating counts) from both runs.
     let counts_1 = probe_validating_counts(&single, &pop);

@@ -4,6 +4,9 @@
 //! run must trace exactly the sessions it actually simulated (replayed
 //! journal frames carry no telemetry, by design).
 
+mod common;
+
+use common::scratch_dir;
 use mailval::datasets::{DatasetKind, Population, PopulationConfig};
 use mailval::measure::campaign::{
     run_campaign, sample_host_profiles, CampaignConfig, CampaignKind, TelemetryConfig,
@@ -11,7 +14,6 @@ use mailval::measure::campaign::{
 use mailval::measure::telemetry::{chrome_trace_json, metrics_json, Telemetry, TraceFilter};
 use mailval::mta::profile::MtaProfile;
 use std::collections::HashSet;
-use std::path::PathBuf;
 
 fn fixture(seed: u64) -> (Population, Vec<MtaProfile>) {
     let pop = Population::generate(&PopulationConfig {
@@ -36,12 +38,6 @@ fn traced_config(seed: u64, shards: usize) -> CampaignConfig {
         },
         ..CampaignConfig::default()
     }
-}
-
-fn scratch_dir(name: &str) -> PathBuf {
-    let dir = std::env::temp_dir().join(format!("mailval-telemetry-{}-{name}", std::process::id()));
-    let _ = std::fs::remove_dir_all(&dir);
-    dir
 }
 
 #[test]
@@ -191,7 +187,7 @@ fn resumed_run_traces_exactly_the_simulated_sessions() {
     // supervisor restarts them from journal. Replayed sessions emit no
     // trace, so the resumed run's telemetry covers exactly the
     // sessions simulated after the restart.
-    let dir = scratch_dir("kill");
+    let dir = scratch_dir("telemetry", "kill");
     let mut config = traced_config(47, 2);
     config.journal_dir = Some(dir.clone());
     config.faults.crash_after_sessions = 5;
